@@ -11,8 +11,8 @@ resolution-graph oracle; all arithmetic is exact.
 
 from .equitree import (AnnotatedBamboo, AnnotatedFace, AnnotatedTree, Bamboo,
                        Diagnostic, Face, LEAF, Leaf, TreeJSONError, annotate,
-                       class_multiplicity, leaves, tree_from_json,
-                       tree_to_json, validate)
+                       annotate_faces, class_multiplicity, leaves,
+                       tree_from_json, tree_to_json, validate)
 from .lattice import (PrimitiveVector, Subdivision, admissible_subdivision,
                       det, insert_rays, minimal_regular_refinement, slope_less)
 from .monodromy import (CharPoly, ConjectureReport, CycloProduct,
@@ -27,7 +27,7 @@ from .resolution import (ChainViolation, DivisorNode, ResolutionGraph,
                          chain_determinant_check, definitional_zeta,
                          euler_characteristic_total)
 from .zeta import (Candidate, Pole, RationalFunction, candidate_poles,
-                   face_weights, is_order_two_candidate, poles, rf, rf_sum,
-                   zeta_general, zeta_nondegenerate)
+                   is_order_two_candidate, poles, rf, rf_sum, zeta_general,
+                   zeta_nondegenerate)
 
 __version__ = "0.1.0"

@@ -7,6 +7,10 @@ Three subcommands:
   fuzz          random trees, closed forms cross-checked against the
                 resolution-graph oracle instance by instance
 
+``tree`` and ``poly`` are input adapters over one analysis: a polynomial's
+Newton face list becomes the one-bamboo tree of ``annotate_faces``, and
+from there both run the same closed forms, report and ``--oracle`` check.
+
 Exit codes: 0 ok, 1 usage, 2 invalid input, 3 degenerate polynomial,
 4 internal consistency failure (closed form disagreeing with the oracle,
 or a failed fuzz check).  Reports are deterministic: equal inputs and
@@ -25,15 +29,13 @@ from fractions import Fraction
 from math import gcd
 
 from .equitree import (Bamboo, Face, LEAF, TreeJSONError, annotate,
-                       tree_from_json, tree_to_json, validate)
+                       annotate_faces, tree_from_json, tree_to_json, validate)
 from .monodromy import (CharPoly, CycloProduct, acampo_from_graph,
                         characteristic_poly, conjecture_report, monodromy_zeta)
 from .newton import (DegenerateCurveError, ParseError, newton_faces,
                      parse_poly, poly_to_str, to_face_specs)
-from .resolution import (build_graph, build_graph_nondegenerate,
-                         chain_determinant_check, definitional_zeta)
-from .zeta import (Candidate, RationalFunction, candidate_poles, face_weights,
-                   poles, poly_str, zeta_general, zeta_nondegenerate)
+from .resolution import build_graph, chain_determinant_check, definitional_zeta
+from .zeta import RationalFunction, candidate_poles, poles, poly_str, zeta_general
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,17 +149,30 @@ def _conjecture_json(report):
 
 def analyze_tree(spec: Bamboo, *, oracle: bool = False):
     """Full report dict for a tree; second value is the exit code."""
-    annotated = annotate(spec)
+    inp = {"kind": "tree", "tree": tree_to_json(spec)}
+    return _analyze(annotate(spec), inp, oracle)
+
+
+def analyze_poly(expr: str, *, oracle: bool = False):
+    """Full report dict for a polynomial; second value is the exit code."""
+    p = parse_poly(expr)
+    specs = to_face_specs(newton_faces(p))
+    inp = {"kind": "poly", "expr": expr, "canonical": poly_to_str(p),
+           "faces": [[a, b, r] for a, b, r in specs]}
+    return _analyze(annotate_faces(specs), inp, oracle)
+
+
+def _analyze(annotated, inp: dict, oracle: bool):
+    """Report dict and exit code of an annotated tree; ``inp`` is the
+    report's input section, the only part that depends on the input form."""
     z = zeta_general(annotated)
-    ps = poles(z)
-    cands = candidate_poles(annotated)
     zm = monodromy_zeta(annotated)
     delta = characteristic_poly(zm)
     conj = conjecture_report(z, delta.cyclo)
     report = {
-        "input": {"kind": "tree", "tree": tree_to_json(spec)},
+        "input": inp,
         "zeta": z.to_json_dict(),
-        "poles": _pole_entries(ps, cands),
+        "poles": _pole_entries(poles(z), candidate_poles(annotated)),
         "monodromy_zeta": zm.to_json_list(),
         "delta": delta.to_json_dict(),
         "milnor_number": delta.mu,
@@ -171,44 +186,6 @@ def analyze_tree(spec: Bamboo, *, oracle: bool = False):
             problems.append("zeta closed form differs from the graph sum")
         if acampo_from_graph(graph) != zm:
             problems.append("monodromy closed form differs from the graph product")
-        violation = chain_determinant_check(graph)
-        if violation is not None:
-            problems.append(f"chain determinant violated at edge {violation.edge}")
-        report["oracle_check"] = "equal" if not problems else "; ".join(problems)
-        if problems:
-            code = EXIT_INCONSISTENT
-    return report, code
-
-
-def analyze_poly(expr: str, *, oracle: bool = False):
-    """Full report dict for a polynomial; second value is the exit code."""
-    p = parse_poly(expr)
-    faces = newton_faces(p)
-    specs = to_face_specs(faces)
-    z = zeta_nondegenerate(specs)
-    ps = poles(z)
-    weights = face_weights(specs)
-    cands = [Candidate(Fraction(-nu, n), (), i) for i, (n, nu) in enumerate(weights)]
-    cands.append(Candidate(Fraction(-1), None, None))
-    graph = build_graph_nondegenerate(specs)
-    zm = acampo_from_graph(graph)
-    delta = characteristic_poly(zm)
-    conj = conjecture_report(z, delta.cyclo)
-    report = {
-        "input": {"kind": "poly", "expr": expr, "canonical": poly_to_str(p),
-                  "faces": [[a, b, r] for a, b, r in specs]},
-        "zeta": z.to_json_dict(),
-        "poles": _pole_entries(ps, cands),
-        "monodromy_zeta": zm.to_json_list(),
-        "delta": delta.to_json_dict(),
-        "milnor_number": delta.mu,
-        "conjecture": _conjecture_json(conj),
-    }
-    code = EXIT_OK if conj.holds() else EXIT_INCONSISTENT
-    if oracle:
-        problems = []
-        if definitional_zeta(graph) != z:
-            problems.append("zeta closed form differs from the graph sum")
         violation = chain_determinant_check(graph)
         if violation is not None:
             problems.append(f"chain determinant violated at edge {violation.edge}")
@@ -405,6 +382,9 @@ def main(argv=None) -> int:
                 return EXIT_INVALID
             except json.JSONDecodeError as exc:
                 print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
+                return EXIT_INVALID
+            except RecursionError:
+                print(f"error: {args.path} is nested too deeply to parse", file=sys.stderr)
                 return EXIT_INVALID
             spec = tree_from_json(data)
             problems = validate(spec)

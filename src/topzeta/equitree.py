@@ -13,6 +13,12 @@ pullback of the curve along its divisor, the log-discrepancy style weight
 ``nu``, and the constant chain determinant of the cone segment above it.
 Each sub-bamboo inherits the pair ``(mult, nu)`` of its attachment face
 as its base context; the root bamboo starts from ``(0, 1)``.
+
+A Newton-nondegenerate polynomial is the depth-one case: its face list
+``(a, b, r)`` is the root bamboo with ``r`` leaves on each face, which
+``annotate_faces`` builds and annotates by the same walk.  In that input
+form the root faces may have ``a = 1`` or ``b = 1`` (the ordinary node is
+the face ``(1, 1)`` with two leaves); trees keep both entries at least two.
 """
 
 from __future__ import annotations
@@ -188,6 +194,36 @@ def annotate(tree: Bamboo) -> AnnotatedTree:
     problems = validate(tree)
     if problems:
         raise ValueError(str(problems[0]))
+    return _annotate(tree)
+
+
+def annotate_faces(faces) -> AnnotatedTree:
+    """Annotated one-bamboo tree of a Newton-nondegenerate face list.
+
+    Each entry ``(a, b, r)`` is a slope-increasing coprime pair with
+    ``a, b >= 1`` and the number ``r >= 1`` of distinct roots of its face
+    polynomial, which become ``r`` leaves on that face.
+    """
+    faces = list(faces)
+    _check_face_list(faces)
+    return _annotate(Bamboo(tuple(Face(a, b, (LEAF,) * r) for a, b, r in faces)))
+
+
+def _check_face_list(faces):
+    if not faces:
+        raise ValueError("face list is empty")
+    prev = None
+    for a, b, r in faces:
+        if a < 1 or b < 1 or gcd(a, b) != 1:
+            raise ValueError(f"face ({a}, {b}) must be a coprime positive pair")
+        if r < 1:
+            raise ValueError("branch count r must be at least 1")
+        if prev is not None and prev[0] * b - prev[1] * a <= 0:
+            raise ValueError("faces out of slope order")
+        prev = (a, b)
+
+
+def _annotate(tree: Bamboo) -> AnnotatedTree:
     bamboos = []
 
     def walk(bamboo, path, base_mult, base_nu):

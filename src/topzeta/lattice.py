@@ -77,11 +77,6 @@ class Subdivision:
             if det(u, v) != 1:
                 raise ValueError(f"subdivision is not regular at {u}, {v}")
 
-    def cones(self):
-        """Consecutive ray pairs, frames included."""
-        chain = (X_FRAME, *self.vectors, Y_FRAME)
-        return list(zip(chain, chain[1:]))
-
 
 def minimal_regular_refinement(u: PrimitiveVector, v: PrimitiveVector):
     """Hull generators strictly between u and v.
@@ -91,22 +86,32 @@ def minimal_regular_refinement(u: PrimitiveVector, v: PrimitiveVector):
     det(u, v) = 1.  Each step inserts the hull neighbour of u: among the
     lattice points W of the open cone with det(u, W) = 1, the one with the
     least det(W, v).  Writing W = (p*u + v)/d for d = det(u, v), that W is
-    picked by the unique p in 1..d-1 making the division integral.
+    picked by the unique p in 1..d-1 making the division integral.  As
+    det(u, v) = 0 mod d and u is primitive, v = c*u mod d, and Bezout
+    coefficients x*u.a + y*u.b = 1 read off c = x*v.a + y*v.b, so p = -c.
     """
     d = det(u, v)
     if d <= 0:
         raise ValueError(f"rays {u}, {v} do not span a cone: det = {d}")
     out = []
     while d > 1:
-        for p in range(1, d):
-            if (p * u.a + v.a) % d == 0 and (p * u.b + v.b) % d == 0:
-                break
-        else:
+        x, y = _bezout(u.a, u.b)
+        p = -(x * v.a + y * v.b) % d
+        if (p * u.a + v.a) % d or (p * u.b + v.b) % d:
             raise AssertionError("no integral hull neighbour; u not primitive?")
         u = PrimitiveVector((p * u.a + v.a) // d, (p * u.b + v.b) // d)
         out.append(u)
         d = det(u, v)
     return out
+
+
+def _bezout(a, b):
+    """(x, y) with x*a + y*b = gcd(a, b), by the extended Euclidean algorithm."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return x0, y0
 
 
 def admissible_subdivision(principal) -> Subdivision:

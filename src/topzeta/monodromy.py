@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from . import poly
@@ -107,17 +108,6 @@ def acampo_from_graph(graph) -> CycloProduct:
     return CycloProduct.from_exponents(exps)
 
 
-def _divisors(n):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
-
-
 def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) -> CharPoly:
     """Characteristic polynomial of the monodromy on H^1: (1 - t) * z.
 
@@ -128,9 +118,12 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
     """
     cyclo = z * CycloProduct(((1, 1),))
     mu = sum(n * e for n, e in cyclo.factors)
+    # The multiplicity at d depends only on which exponents d divides, and
+    # the gcd of those exponents divides exactly the same ones: checking the
+    # gcds of all nonempty sets of exponents covers every root order.
     orders = set()
     for n, _ in cyclo.factors:
-        orders |= _divisors(n)
+        orders |= {gcd(n, d) for d in orders} | {n}
     for d in sorted(orders):
         m = sum(e for n, e in cyclo.factors if n % d == 0)
         if m < 0:

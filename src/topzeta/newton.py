@@ -225,7 +225,7 @@ def nondegeneracy_check(faces) -> DegenerateWitness | None:
 
 
 def to_face_specs(faces) -> list[tuple[int, int, int]]:
-    """(a, b, r) per face with r = deg G, for the nondegenerate pipeline."""
+    """(a, b, r) per face with r = deg G, the input of annotate_faces."""
     witness = nondegeneracy_check(faces)
     if witness is not None:
         raise DegenerateCurveError(witness)

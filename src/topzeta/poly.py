@@ -27,14 +27,6 @@ def add(f, g):
     return trim(out)
 
 
-def neg(f):
-    return [-c for c in f]
-
-
-def sub(f, g):
-    return add(f, neg(g))
-
-
 def mul(f, g):
     if not f or not g:
         return []
@@ -51,13 +43,6 @@ def scale(f, c):
     if c == 0:
         return []
     return [a * c for a in f]
-
-
-def evaluate(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def derivative(f):

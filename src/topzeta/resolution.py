@@ -16,6 +16,11 @@ fiber over the origin: vertex strata of exceptional curves and all edge
 strata.  The result must agree exactly with the closed forms, and must
 not move when extra rays are inserted; both facts are what the test
 suite drives.
+
+A Newton-nondegenerate face list is the one-bamboo tree built by
+``equitree.annotate_faces``, so ``build_graph`` covers it too, smooth
+faces like the ordinary node's ``(1, 1)`` included;
+``build_graph_nondegenerate`` only names that composition.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .equitree import AnnotatedTree, Leaf
+from .equitree import AnnotatedTree, Leaf, annotate_faces
 from .lattice import (PrimitiveVector, Subdivision, X_FRAME, Y_FRAME,
                       admissible_subdivision, det, insert_rays)
-from .zeta import RationalFunction, face_weights, rf, rf_sum
+from .zeta import RationalFunction, rf, rf_sum
 
 
 @dataclass(frozen=True)
@@ -177,35 +182,8 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
 
 
 def build_graph_nondegenerate(faces, *, extra_rays: int = 0, seed: int = 0) -> ResolutionGraph:
-    """Single-bamboo graph for a Newton-nondegenerate face list (a, b, r).
-
-    Same chain construction with prefix weights sum r_t b_t, suffix
-    weights sum r_t a_t and base weight 1; each face gets r branch nodes.
-    No lower bound on a and b beyond 1, so this also covers smooth-face
-    inputs like the ordinary node.
-    """
-    faces = list(faces)
-    rng = random.Random(seed)
-    principal = [PrimitiveVector(a, bb) for a, bb, _ in faces]
-    weights = face_weights(faces)       # validates the list as a side effect
-    sub = admissible_subdivision(principal)
-    for _ in range(extra_rays):
-        sub = _random_refine(sub, rng)
-    k = len(faces)
-    alphas = [0] * (k + 1)
-    betas = [0] * (k + 1)
-    for i, (a, bb, r) in enumerate(faces):
-        alphas[i + 1] = alphas[i] + r * bb
-    for i in range(k - 1, -1, -1):
-        a, bb, r = faces[i]
-        betas[i] = betas[i + 1] + r * a
-    b = _Builder()
-    pids = b.chain((), sub, principal, alphas, betas, 1)
-    for i, (a, bb, r) in enumerate(faces):
-        assert b.nodes[pids[i]].mult == weights[i][0]
-        for _ in range(r):
-            b.branch(pids[i])
-    return b.finish()
+    """Resolution graph of a Newton-nondegenerate face list (a, b, r)."""
+    return build_graph(annotate_faces(faces), extra_rays=extra_rays, seed=seed)
 
 
 def definitional_zeta(graph: ResolutionGraph) -> RationalFunction:

@@ -11,10 +11,11 @@ slope-sorted multiset of primitive linear factors ``(N, nu)`` with
 functions compare equal structurally, which is what the differential
 tests against the resolution-graph oracle rely on.
 
-The closed forms: ``zeta_nondegenerate`` evaluates the one-bamboo formula
-attached to the compact faces of a Newton polygon; ``zeta_general`` sums
-the per-bamboo contributions of an annotated tree, one leaf term
-``1 / ((N s + nu)(s + 1))`` per smooth branch.
+The closed form ``zeta_general`` sums the per-bamboo contributions of an
+annotated tree, with one leaf term ``r / ((N s + nu)(s + 1))`` per face
+carrying ``r`` smooth branches.  A Newton-nondegenerate face list is the
+one-bamboo tree of ``equitree.annotate_faces``; ``zeta_nondegenerate``
+only names that composition.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import poly
-from .equitree import AnnotatedTree, Leaf
+from .equitree import AnnotatedTree, Leaf, annotate_faces
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,6 @@ class RationalFunction:
 
 
 ZERO = RationalFunction(Fraction(0), (), ())
-ONE = RationalFunction(Fraction(1), (1,), ())
 
 
 def _coerce(value):
@@ -286,49 +286,9 @@ def is_order_two_candidate(tree: AnnotatedTree, path, face: int) -> bool:
     return tree.bamboo(path).faces[face].chain_det == 0
 
 
-def _check_face_list(faces):
-    prev = None
-    for a, b, r in faces:
-        if a < 1 or b < 1 or gcd(a, b) != 1:
-            raise ValueError(f"face ({a}, {b}) must be a coprime positive pair")
-        if r < 1:
-            raise ValueError("branch count r must be at least 1")
-        if prev is not None and prev[0] * b - prev[1] * a <= 0:
-            raise ValueError("faces out of slope order")
-        prev = (a, b)
-
-
-def face_weights(faces):
-    """Per-face (N, nu) for a Newton-nondegenerate face list (a, b, r)."""
-    k = len(faces)
-    pre = [0] * (k + 1)
-    for i, (a, b, r) in enumerate(faces):
-        pre[i + 1] = pre[i] + r * b
-    suf = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        a, b, r = faces[i]
-        suf[i] = suf[i + 1] + r * a
-    return [(a * pre[i + 1] + b * suf[i + 1], a + b)
-            for i, (a, b, r) in enumerate(faces)]
-
-
 def zeta_nondegenerate(faces) -> RationalFunction:
-    """Local topological zeta function from Newton face data (a, b, r).
-
-    The faces must be slope-increasing coprime pairs; r counts the distinct
-    roots of the face polynomial.  No lower bound on a and b beyond 1.
-    """
-    faces = list(faces)
-    _check_face_list(faces)
-    vs = [(1, 0), *[(a, b) for a, b, _ in faces], (0, 1)]
-    ws = [(0, 1), *face_weights(faces), (0, 1)]
-    terms = []
-    for i in range(len(vs) - 1):
-        d = vs[i][0] * vs[i + 1][1] - vs[i][1] * vs[i + 1][0]
-        terms.append(rf(d, (1,), [ws[i], ws[i + 1]]))
-    for i, (a, b, r) in enumerate(faces):
-        terms.append(rf(-r, (0, 1), [(1, 1), ws[i + 1]]))
-    return rf_sum(terms)
+    """Local topological zeta function from Newton face data (a, b, r)."""
+    return zeta_general(annotate_faces(faces))
 
 
 def zeta_general(tree: AnnotatedTree) -> RationalFunction:
@@ -336,7 +296,8 @@ def zeta_general(tree: AnnotatedTree) -> RationalFunction:
 
     Per bamboo: the attachment term b_1 / ((base)(first face)), the chain
     of determinant terms closed off against the frame (0, 1), and minus
-    r_i over each face; plus one term per leaf against (s + 1).
+    r_i over each face; plus, per face with leaves, one term against
+    (s + 1) weighted by its leaf count.
     """
     terms = []
     for bam in tree.bamboos:
@@ -354,7 +315,7 @@ def zeta_general(tree: AnnotatedTree) -> RationalFunction:
             terms.append(rf(d, (1,), [(fs[i].mult, fs[i].nu), nxt]))
             terms.append(rf(-len(fs[i].classes), (1,), [(fs[i].mult, fs[i].nu)]))
         for f in fs:
-            for cls in f.classes:
-                if isinstance(cls, Leaf):
-                    terms.append(rf(1, (1,), [(f.mult, f.nu), (1, 1)]))
+            n_leaves = sum(isinstance(cls, Leaf) for cls in f.classes)
+            if n_leaves:
+                terms.append(rf(n_leaves, (1,), [(f.mult, f.nu), (1, 1)]))
     return rf_sum(terms)

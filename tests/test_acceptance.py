@@ -4,30 +4,35 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass line
 per criterion.  The tree corpus is 500 seeded random trees (depth <= 3,
 up to 3 faces per bamboo, entries <= 9) plus the golden instances; the
 face corpus is 200 seeded random nondegenerate face lists with all
-entries at least two, plus the constructed double-pole instance.
+entries at least two, plus the constructed double-pole instance.  The
+checks that need no resolution graph (Z(0) = 1, Kouchnirenko's Milnor
+number) also run on 2000 seeded face lists with entries 1..9.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from topzeta.cli import FuzzConfig, analyze_poly, random_face_specs, random_tree
-from topzeta.equitree import Bamboo, Face, LEAF, annotate
+from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.monodromy import (acampo_from_graph, characteristic_poly,
                                conjecture_report, monodromy_zeta,
                                root_multiplicity, verify_conjecture)
 from topzeta.resolution import (build_graph, build_graph_nondegenerate,
                                 chain_determinant_check, definitional_zeta,
                                 euler_characteristic_total)
-from topzeta.zeta import (candidate_poles, face_weights, poles, rf,
-                          zeta_general, zeta_nondegenerate)
+from topzeta.zeta import (candidate_poles, poles, rf, zeta_general,
+                          zeta_nondegenerate)
 
 TREE_SEED = 7
 TREE_COUNT = 500
 FACE_SEED = 11
 FACE_COUNT = 200
+UNIT_FACE_SEED = 5
+UNIT_FACE_COUNT = 2000
 RAY_INSTANCES = 100
 EXPANSION_CAP = 2500
 
@@ -94,6 +99,43 @@ def face_corpus():
     return out
 
 
+@pytest.fixture(scope="module")
+def unit_face_lists():
+    """Random face lists with a, b in 1..9, so that faces with a = 1 or
+    b = 1 (smooth faces, whose candidate may cancel) occur."""
+    rng = random.Random(UNIT_FACE_SEED)
+    out = []
+    while len(out) < UNIT_FACE_COUNT:
+        pairs = set()
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.randint(1, 9), rng.randint(1, 9)
+            if gcd(a, b) == 1:
+                pairs.add((a, b))
+        if pairs:
+            out.append([(a, b, rng.randint(1, 3))
+                        for a, b in sorted(pairs, key=lambda p: Fraction(p[1], p[0]))])
+    return out
+
+
+def value_at_zero(z):
+    value = z.scale * (z.num[0] if z.num else 0)
+    for (_, nu), e in z.den:
+        value /= Fraction(nu) ** e
+    return value
+
+
+def kouchnirenko(specs):
+    """2V - A - B + 1 for the Newton polygon with faces (a, b, r) in slope
+    order: from (0, B) each face steps by (r b, -r a) down to (A, 0), and
+    V is the area between the polygon and the axes."""
+    x = twice_area = 0
+    y = top = sum(r * a for a, _, r in specs)
+    for a, b, r in specs:
+        twice_area += r * b * (2 * y - r * a)
+        x, y = x + r * b, y - r * a
+    return twice_area - x - top + 1
+
+
 def test_criterion_01_cusp_golden():
     annotated = annotate(CUSP)
     z = zeta_general(annotated)
@@ -149,7 +191,7 @@ def test_criterion_05_pole_containment(tree_corpus):
 
 def test_criterion_06_nondegenerate_pole_realization(face_corpus):
     for inst in face_corpus:
-        candidates = {Fraction(-nu, n) for n, nu in face_weights(inst.specs)}
+        candidates = {Fraction(-f.nu, f.mult) for f in annotate_faces(inst.specs).root.faces}
         realized = {p.value for p in poles(inst.zeta)}
         assert candidates <= realized, inst.specs
     print(f"criterion  6 PASS  every candidate realized on {len(face_corpus)} face lists")
@@ -159,7 +201,7 @@ def test_criterion_07_order_two_characterization(face_corpus):
     order_two_seen = 0
     for inst in face_corpus:
         specs = inst.specs
-        weights = face_weights(specs)
+        weights = [(f.mult, f.nu) for f in annotate_faces(specs).root.faces]
         flagged = set()
         for i in range(len(specs)):
             # independent chain determinant: suffix of r*a minus prefix of r*b
@@ -222,9 +264,27 @@ def test_criterion_10_divisibility(tree_corpus, face_corpus):
             last = bam.faces[-1]
             assert last.mult % last.a == 0
     for inst in face_corpus:
-        weights = face_weights(inst.specs)
+        weights = [(f.mult, f.nu) for f in annotate_faces(inst.specs).root.faces]
         a1, b1, _ = inst.specs[0]
         ak, bk, _ = inst.specs[-1]
         assert weights[0][0] % b1 == 0
         assert weights[-1][0] % ak == 0
     print("criterion 10 PASS  multiplicity divisibility at bamboo ends")
+
+
+def test_criterion_11_zeta_at_zero(tree_corpus, face_corpus, unit_face_lists):
+    for inst in tree_corpus + face_corpus:
+        assert value_at_zero(inst.zeta) == 1
+    for specs in unit_face_lists:
+        assert value_at_zero(zeta_general(annotate_faces(specs))) == 1, specs
+    total = len(tree_corpus) + len(face_corpus) + len(unit_face_lists)
+    print(f"criterion 11 PASS  Z(0) = 1 on all {total} instances")
+
+
+def test_criterion_12_kouchnirenko_milnor_number(face_corpus, unit_face_lists):
+    lists = [inst.specs for inst in face_corpus] + unit_face_lists
+    assert sum(any(1 in (a, b) for a, b, _ in specs) for specs in lists) >= 500
+    for specs in lists:
+        delta = characteristic_poly(monodromy_zeta(annotate_faces(specs)), max_degree=0)
+        assert delta.mu == kouchnirenko(specs), specs
+    print(f"criterion 12 PASS  deg delta = Kouchnirenko's number on {len(lists)} face lists")

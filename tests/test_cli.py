@@ -3,11 +3,14 @@ import random
 
 import pytest
 
-from topzeta.cli import (EXIT_DEGENERATE, EXIT_INVALID, EXIT_OK, EXIT_USAGE,
-                         FuzzConfig, analyze_poly, analyze_tree,
-                         check_instance, main, random_face_specs, random_tree,
-                         render_report, tree_hash)
+from topzeta import cli
+from topzeta.cli import (EXIT_DEGENERATE, EXIT_INCONSISTENT, EXIT_INVALID,
+                         EXIT_OK, EXIT_USAGE, FuzzConfig, analyze_poly,
+                         analyze_tree, check_instance, main, random_face_specs,
+                         random_tree, render_report, tree_hash)
 from topzeta.equitree import Bamboo, Face, LEAF, tree_from_json, validate
+from topzeta.monodromy import CycloProduct
+from topzeta.resolution import build_graph
 
 CUSP_JSON = {"faces": [{"a": 2, "b": 3, "classes": ["leaf"]}]}
 
@@ -72,6 +75,15 @@ def test_tree_command_missing_file(capsys):
     assert main(["tree", "/nonexistent/tree.json"]) == EXIT_INVALID
 
 
+def test_tree_command_too_deep_json(tmp_path, capsys):
+    depth = 300
+    path = tmp_path / "deep.json"
+    path.write_text('{"faces":[{"a":2,"b":3,"classes":[' * depth + '"leaf"' + ']}]}' * depth)
+    assert main(["tree", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_tree_command_rejects_leading_zero_integers(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"faces": [{"a": 02, "b": 3, "classes": ["leaf"]}]}')
@@ -84,6 +96,27 @@ def test_poly_command_ok(capsys):
     out = capsys.readouterr().out
     assert "zeta: 1 / (s + 1)^2" in out
     assert "char poly H1: -t + 1" in out or "1 - t" in out
+
+
+def test_poly_builds_a_graph_only_for_the_oracle(monkeypatch):
+    built = []
+
+    def counting_build_graph(annotated):
+        built.append(annotated)
+        return build_graph(annotated)
+
+    monkeypatch.setattr(cli, "build_graph", counting_build_graph)
+    report, code = analyze_poly("x^5 + y^7 - x^2*y^4")
+    assert code == EXIT_OK and "oracle_check" not in report and built == []
+    report, code = analyze_poly("x^5 + y^7 - x^2*y^4", oracle=True)
+    assert code == EXIT_OK and report["oracle_check"] == "equal" and len(built) == 1
+
+
+def test_poly_oracle_checks_the_monodromy(monkeypatch):
+    monkeypatch.setattr(cli, "acampo_from_graph", lambda graph: CycloProduct(()))
+    report, code = analyze_poly("y^2-x^3", oracle=True)
+    assert code == EXIT_INCONSISTENT
+    assert report["oracle_check"] == "monodromy closed form differs from the graph product"
 
 
 def test_poly_command_degenerate(capsys):

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from topzeta.equitree import (Bamboo, Face, LEAF, TreeJSONError, annotate,
-                              class_multiplicity, leaves, tree_from_json,
-                              tree_to_json, validate)
+                              annotate_faces, class_multiplicity, leaves,
+                              tree_from_json, tree_to_json, validate)
 
 CUSP = Bamboo((Face(2, 3, (LEAF,)),))
 TWO_PAIR = Bamboo((Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)),)),))
@@ -94,6 +94,29 @@ def test_nu_lower_bound():
     assert f.nu == f.a + f.b >= 5
     g = sub.faces[0]
     assert g.nu > g.a + g.b
+
+
+def test_annotate_faces_is_the_one_bamboo_tree():
+    faces = [(3, 2, 1), (2, 3, 2)]
+    tree = Bamboo((Face(3, 2, (LEAF,)), Face(2, 3, (LEAF, LEAF))))
+    assert annotate_faces(faces) == annotate(tree)
+
+
+def test_annotate_faces_allows_unit_entries():
+    # the ordinary node: one face (1, 1) carrying two branches
+    node = annotate_faces([(1, 1, 2)])
+    (face,) = node.root.faces
+    assert (face.mult, face.nu, face.face_mult) == (2, 2, 2)
+    smooth = annotate_faces([(2, 3, 1), (1, 2, 1)])
+    assert [(f.mult, f.nu) for f in smooth.root.faces] == [(9, 5), (5, 3)]
+
+
+@pytest.mark.parametrize("faces", [
+    [], [(2, 4, 1)], [(0, 1, 1)], [(2, 3, 0)], [(2, 3, 1), (3, 2, 1)],
+])
+def test_annotate_faces_rejects_bad_lists(faces):
+    with pytest.raises(ValueError):
+        annotate_faces(faces)
 
 
 def test_leaves():

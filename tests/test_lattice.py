@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -137,6 +138,33 @@ def test_refinement_matches_hull_oracle_generic(a, b, c, d):
     assert got == hull_refinement(u, v, bound)
 
 
+def linear_search_refinement(u, v):
+    """The hull neighbours found by trying p = 1 .. d-1 in turn."""
+    out = []
+    d = det(u, v)
+    while d > 1:
+        p = next(p for p in range(1, d)
+                 if (p * u.a + v.a) % d == 0 and (p * u.b + v.b) % d == 0)
+        u = pv((p * u.a + v.a) // d, (p * u.b + v.b) // d)
+        out.append(u)
+        d = det(u, v)
+    return out
+
+
+def test_refinement_matches_linear_search_exhaustive():
+    # every cone u < v of primitive vectors with coordinates up to 12,
+    # frames included
+    rays = [pv(a, b) for a in range(13) for b in range(13)
+            if (a, b) != (0, 0) and gcd(a, b) == 1]
+    cones = 0
+    for u in rays:
+        for v in rays:
+            if det(u, v) > 0:
+                assert minimal_regular_refinement(u, v) == linear_search_refinement(u, v), (u, v)
+                cones += 1
+    assert cones > 4000
+
+
 # --- admissible subdivisions -------------------------------------------------
 
 def check_subdivision(sub, principal):
@@ -180,6 +208,13 @@ def test_separation_from_principal_when_entries_large():
     # b >= 2 forces a strict first vector, a >= 2 a strict last one
     sub = admissible_subdivision([pv(2, 3)])
     assert sub.vectors[0] != pv(2, 3) and sub.vectors[-1] != pv(2, 3)
+
+
+def test_admissible_subdivision_large_b_in_time():
+    start = time.perf_counter()
+    sub = admissible_subdivision([pv(3, 100003)])
+    assert time.perf_counter() - start < 2.0
+    check_subdivision(sub, [pv(3, 100003)])
 
 
 # --- insert_rays -------------------------------------------------------------

@@ -1,4 +1,7 @@
+import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -57,6 +60,49 @@ def test_characteristic_poly_expansion_cap():
 def test_characteristic_poly_rejects_non_polynomial():
     with pytest.raises(ArithmeticError, match="not a polynomial"):
         characteristic_poly(cyclo({2: -1}))
+
+
+def nested_chain(depth):
+    node = LEAF
+    for _ in range(depth):
+        node = Bamboo((Face(2, 3, (node,)),))
+    return node
+
+
+def test_characteristic_poly_deep_chain_in_time():
+    # a nested (2, 3) chain doubles the exponents per level; the root order
+    # check must not enumerate their divisors
+    zm = monodromy_zeta(annotate(nested_chain(30)))
+    start = time.perf_counter()
+    delta = characteristic_poly(zm, max_degree=0)
+    assert time.perf_counter() - start < 2.0
+    assert delta.coeffs is None and delta.mu > 10 ** 9
+
+
+def test_characteristic_poly_verdict_matches_divisor_enumeration():
+    # (1 - t^lcm(a, b)) / ((1 - t^a)(1 - t^b)), sometimes times one more
+    # factor: whether it is a polynomial after the factor (1 - t) is often
+    # decided at gcd(a, b), which is no exponent.  Brute force checks every
+    # divisor of every exponent.
+    rng = random.Random(23)
+    rejected = 0
+    for _ in range(400):
+        a, b = rng.sample(range(2, 25), 2)
+        z = cyclo({a: -1}) * cyclo({b: -1}) * cyclo({lcm(a, b): 1})
+        if rng.random() < 0.5:
+            z = z * cyclo({rng.randint(2, 60): rng.choice((-1, 1))})
+        factors = (z * cyclo({1: 1})).factors
+        orders = {d for n, _ in factors for d in range(1, n + 1) if n % d == 0}
+        polynomial = all(sum(e for n, e in factors if n % d == 0) >= 0 for d in orders)
+        try:
+            characteristic_poly(z, max_degree=0)
+        except ArithmeticError as exc:
+            assert "not a polynomial" in str(exc)
+            assert not polynomial, factors
+            rejected += 1
+        else:
+            assert polynomial, factors
+    assert 0 < rejected < 400
 
 
 def test_palindrome_two_pair():
@@ -144,7 +190,7 @@ def test_middle_faces_always_contribute_eigenvalues():
     import random
     from math import gcd
     from topzeta.cli import random_face_specs
-    from topzeta.zeta import face_weights
+    from topzeta.equitree import annotate_faces
 
     rng = random.Random(17)
     checked = 0
@@ -152,7 +198,7 @@ def test_middle_faces_always_contribute_eigenvalues():
         specs = random_face_specs(rng)
         if len(specs) < 3:
             continue
-        weights = face_weights(specs)
+        weights = [(f.mult, f.nu) for f in annotate_faces(specs).root.faces]
         graph = build_graph_nondegenerate(specs)
         delta = characteristic_poly(acampo_from_graph(graph), max_degree=0)
         for i in range(1, len(specs) - 1):

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topzeta.equitree import Bamboo, Face, LEAF, annotate
-from topzeta.zeta import (ZERO, candidate_poles, face_weights,
-                          is_order_two_candidate, poles, rf, zeta_general,
-                          zeta_nondegenerate)
+from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
+from topzeta.zeta import (ZERO, candidate_poles, is_order_two_candidate,
+                          poles, rf, zeta_general, zeta_nondegenerate)
 
 
 def annotated(*faces):
@@ -169,11 +168,11 @@ def test_candidate_cancellation_on_unit_entries():
     # function; this is why pole realization is only asserted for faces
     # with both entries at least two
     z = zeta_nondegenerate([(2, 3, 1), (1, 2, 1)])
-    ws = face_weights([(2, 3, 1), (1, 2, 1)])
+    ws = [(f.mult, f.nu) for f in annotate_faces([(2, 3, 1), (1, 2, 1)]).root.faces]
     assert ws == [(9, 5), (5, 3)]
     assert Fraction(-3, 5) not in {p.value for p in poles(z)}
     assert z == rf(1, (5, 2), [(1, 1), (9, 5)])
 
 
 def test_face_weights_cusp():
-    assert face_weights([(2, 3, 1)]) == [(6, 5)]
+    assert [(f.mult, f.nu) for f in annotate_faces([(2, 3, 1)]).root.faces] == [(6, 5)]
