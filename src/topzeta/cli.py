@@ -20,6 +20,7 @@ flags produce byte-identical output, and every number is exact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import random
@@ -111,10 +112,6 @@ def tree_hash(spec: Bamboo) -> str:
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _pole_entries(ps, candidates):
     out = []
     for p in ps:
@@ -126,7 +123,7 @@ def _pole_entries(ps, candidates):
                 sources.append("universal")
             else:
                 sources.append({"bamboo": [list(step) for step in c.path], "face": c.face})
-        out.append({"value": _frac(p.value), "order": p.order, "sources": sources})
+        out.append({"value": str(p.value), "order": p.order, "sources": sources})
     return out
 
 
@@ -134,7 +131,7 @@ def _conjecture_json(report):
     entries = []
     for value, order, w in report.checks:
         entry = {
-            "value": _frac(value),
+            "value": str(value),
             "pole_order": order,
             "eigenvalue": w.ok,
             "root_order": w.root_order,
@@ -169,15 +166,16 @@ def _analyze(annotated, inp: dict, oracle: bool):
     zm = monodromy_zeta(annotated)
     delta = characteristic_poly(zm)
     conj = conjecture_report(z, delta.cyclo)
-    report = {
-        "input": inp,
-        "zeta": z.to_json_dict(),
-        "poles": _pole_entries(poles(z), candidate_poles(annotated)),
-        "monodromy_zeta": zm.to_json_list(),
-        "delta": delta.to_json_dict(),
-        "milnor_number": delta.mu,
-        "conjecture": _conjecture_json(conj),
-    }
+    with _unlimited_digits():
+        report = {
+            "input": inp,
+            "zeta": z.to_json_dict(),
+            "poles": _pole_entries(poles(z), candidate_poles(annotated)),
+            "monodromy_zeta": zm.to_json_list(),
+            "delta": delta.to_json_dict(),
+            "milnor_number": delta.mu,
+            "conjecture": _conjecture_json(conj),
+        }
     code = EXIT_OK if conj.holds() else EXIT_INCONSISTENT
     if oracle:
         graph = build_graph(annotated)
@@ -356,12 +354,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report, as_json, out):
-    if as_json:
-        json.dump(report, out, indent=2)
-        out.write("\n")
-    else:
-        out.write(render_report(report))
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's int-to-str digit limit while a report's exact numbers
+    become text; the limit stays on while the input is parsed."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _render(report, as_json) -> str:
+    """The whole report as one string, so that no error leaves part of it
+    written."""
+    with _unlimited_digits():
+        return json.dumps(report, indent=2) + "\n" if as_json else render_report(report)
 
 
 def main(argv=None) -> int:
@@ -393,12 +402,12 @@ def main(argv=None) -> int:
                     print(f"error: {diag}", file=sys.stderr)
                 return EXIT_INVALID
             report, code = analyze_tree(spec, oracle=args.oracle)
-            _emit(report, args.json, out)
+            out.write(_render(report, args.json))
             return code
 
         if args.command == "poly":
             report, code = analyze_poly(args.expr, oracle=args.oracle)
-            _emit(report, args.json, out)
+            out.write(_render(report, args.json))
             return code
 
         if args.command == "fuzz":

@@ -145,8 +145,7 @@ def poly_to_str(p: dict) -> str:
         mag = abs(c)
         factors = []
         if mag != 1 or (a, b) == (0, 0):
-            factors.append(str(mag.numerator) if mag.denominator == 1
-                           else f"{mag.numerator}/{mag.denominator}")
+            factors.append(str(mag))
         if a:
             factors.append("x" if a == 1 else f"x^{a}")
         if b:

@@ -39,12 +39,6 @@ def mul(f, g):
     return trim(out)
 
 
-def scale(f, c):
-    if c == 0:
-        return []
-    return [a * c for a in f]
-
-
 def derivative(f):
     return trim([i * c for i, c in enumerate(f)][1:])
 
@@ -66,16 +60,6 @@ def divmod_frac(f, g):
             for j, b in enumerate(g):
                 rem[i + j] -= c * b
     return trim(quo), trim(rem)
-
-
-def div_exact(f, g):
-    """Divide exactly; integer output when every coefficient is integral."""
-    quo, rem = divmod_frac(f, g)
-    if rem:
-        raise ArithmeticError("inexact polynomial division")
-    if all(c.denominator == 1 for c in quo):
-        return [int(c) for c in quo]
-    return quo
 
 
 def monic_gcd(f, g):

@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .equitree import AnnotatedTree, Leaf, annotate_faces
 from .lattice import (PrimitiveVector, Subdivision, X_FRAME, Y_FRAME,
                       admissible_subdivision, det, insert_rays)
-from .zeta import RationalFunction, rf, rf_sum
+from .zeta import RationalFunction, rf_sum
 
 
 @dataclass(frozen=True)
@@ -194,10 +194,10 @@ def definitional_zeta(graph: ResolutionGraph) -> RationalFunction:
     terms = []
     for n in nodes:
         if n.kind == "exceptional" and n.chi:
-            terms.append(rf(n.chi, (1,), [(n.mult, n.nu)]))
+            terms.append((n.chi, (1,), [(n.mult, n.nu)]))
     for u, v in graph.edges:
-        terms.append(rf(1, (1,), [(nodes[u].mult, nodes[u].nu),
-                                  (nodes[v].mult, nodes[v].nu)]))
+        terms.append((1, (1,), [(nodes[u].mult, nodes[u].nu),
+                                (nodes[v].mult, nodes[v].nu)]))
     return rf_sum(terms)
 
 

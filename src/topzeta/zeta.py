@@ -1,15 +1,30 @@
 """Exact rational functions in one variable s and the topological zeta forms.
 
-A :class:`RationalFunction` is stored fully canonically as
+Every zeta function here is a sum of terms ``c * num(s) / prod (N*s + nu)``
+(the closed form's per-face terms, the oracle's strata).  ``rf_sum`` adds
+them in partial fractions: a polynomial part plus a residue map
+``((N, nu), k) -> c`` over primitive linear factors with ``N >= 1``, zero
+entries dropped.  Two primitives build that form.  Dividing by a linear
+factor ``g`` is synthetic division on the polynomial part, a power raised
+on a residue at ``g`` itself, and on any other ``f = N s + nu`` the split
+
+    1 / (f g) = (N / f - M / g) / d,   g = M s + mu,   d = N mu - M nu,
+
+applied once per power of ``f``.  Partial fractions are unique, so the
+sum needs no cancellation step: a pole is a factor with a nonzero
+residue, and its order is the highest power whose residue is nonzero.
+
+The result is then canonicalized once, in integers, to the stored form
 
     scale * num(s) / prod (N*s + nu)^exp
 
 where ``scale`` is a rational number, ``num`` is a primitive integer
-polynomial with positive leading coefficient, and the denominator is a
-slope-sorted multiset of primitive linear factors ``(N, nu)`` with
-``N >= 1``, none of which divides the numerator.  Canonical means equal
+polynomial with positive leading coefficient, and the denominator lists
+those factors, sorted by ``(N, nu)``, with their pole orders.  Equal
 functions compare equal structurally, which is what the differential
-tests against the resolution-graph oracle rely on.
+tests against the resolution-graph oracle rely on; these three fields
+are also what the reports print and serialize, so they stay the stored
+form while partial fractions stay internal to the sum.
 
 The closed form ``zeta_general`` sums the per-bamboo contributions of an
 annotated tree, with one leaf term ``r / ((N s + nu)(s + 1))`` per face
@@ -38,57 +53,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.num
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        e1, e2 = dict(self.den), dict(other.den)
-        common = {f: max(e1.get(f, 0), e2.get(f, 0)) for f in {*e1, *e2}}
-        m1 = _expand_factors(common, e1)
-        m2 = _expand_factors(common, e2)
-        p1, q1 = self.scale.numerator, self.scale.denominator
-        p2, q2 = other.scale.numerator, other.scale.denominator
-        q = lcm(q1, q2)
-        num = poly.add(
-            poly.scale(poly.mul(list(self.num), m1), p1 * (q // q1)),
-            poly.scale(poly.mul(list(other.num), m2), p2 * (q // q2)),
-        )
-        return _normalize(Fraction(1, q), num, common)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.is_zero():
-            return self
-        return RationalFunction(-self.scale, self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return ZERO
-        den = dict(self.den)
-        for f, e in other.den:
-            den[f] = den.get(f, 0) + e
-        return _normalize(self.scale * other.scale,
-                          poly.mul(list(self.num), list(other.num)), den)
-
-    __rmul__ = __mul__
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -113,25 +77,13 @@ class RationalFunction:
 
     def to_json_dict(self) -> dict:
         return {
-            "scale": _frac_str(self.scale),
+            "scale": str(self.scale),
             "numerator": list(self.num),
             "denominator": [{"N": n, "nu": v, "exp": e} for (n, v), e in self.den],
         }
 
 
 ZERO = RationalFunction(Fraction(0), (), ())
-
-
-def _coerce(value):
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return rf(value)
-    return NotImplemented
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def poly_str(coeffs, var):
@@ -143,9 +95,9 @@ def poly_str(coeffs, var):
             continue
         mag = abs(c)
         if i == 0:
-            body = _frac_str(Fraction(mag))
+            body = str(mag)
         else:
-            head = "" if mag == 1 else f"{_frac_str(Fraction(mag))}*"
+            head = "" if mag == 1 else f"{mag}*"
             body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
         if not terms:
             terms.append(body if c > 0 else f"-{body}")
@@ -154,96 +106,108 @@ def poly_str(coeffs, var):
     return "".join(terms) if terms else "0"
 
 
-def _expand_factors(target, have):
-    out = [1]
-    for f, e in target.items():
-        missing = e - have.get(f, 0)
-        for _ in range(missing):
-            out = poly.mul(out, [f[1], f[0]])
-    return out
-
-
 def rf(coef=1, num=(1,), den=()) -> RationalFunction:
-    """Build a normalized rational function from raw parts.
+    """The canonical form of ``coef * num(s) / prod den``: a one-term sum.
 
     ``den`` entries are linear factors ``(N, nu)`` or ``((N, nu), exp)``.
     """
-    factors = {}
-    for item in den:
-        if len(item) == 2 and isinstance(item[0], tuple):
-            f, e = item
-        else:
-            f, e = tuple(item), 1
-        if f == (0, 0):
-            raise ValueError("(0, 0) is not a linear factor")
-        factors[f] = factors.get(f, 0) + e
-    coef = Fraction(coef)
-    return _normalize(coef, list(num), factors)
-
-
-def _normalize(scale: Fraction, num, factors) -> RationalFunction:
-    num = poly.trim(num)
-    if not num or scale == 0:
-        return ZERO
-    # clear rational coefficients into the scale
-    denoms = [c.denominator for c in num if isinstance(c, Fraction)]
-    if denoms:
-        q = 1
-        for d in denoms:
-            q = lcm(q, d)
-        num = [int(c * q) for c in num]
-        scale /= q
-    # primitive factors; constants move into the scale
-    merged = {}
-    for (n, v), e in factors.items():
-        if e == 0:
-            continue
-        if e < 0:
-            raise ValueError("denominator exponents must be positive")
-        g = gcd(n, v)
-        scale /= Fraction(g) ** e
-        n, v = n // g, v // g
-        if n == 0:
-            continue    # the factor was the constant g, already absorbed
-        merged[(n, v)] = merged.get((n, v), 0) + e
-    # primitive numerator with positive leading coefficient
-    content = 0
-    for c in num:
-        content = gcd(content, c)
-    if num[-1] < 0:
-        content = -content
-    scale *= content
-    num = [c // content for c in num]
-    # cancel factors dividing the numerator (synthetic division at -nu/N)
-    for f in list(merged):
-        n, v = f
-        while merged[f] > 0 and _root_vanishes(num, n, v):
-            num = poly.div_exact(num, [v, n])
-            merged[f] -= 1
-        if merged[f] == 0:
-            del merged[f]
-    den = tuple(sorted(merged.items()))
-    return RationalFunction(scale, tuple(num), den)
-
-
-def _root_vanishes(num, n, v):
-    # num(-v/n) == 0, cleared of denominators
-    d = len(num) - 1
-    acc = 0
-    for j, c in enumerate(num):
-        acc += c * (-v) ** j * n ** (d - j)
-    return acc == 0
+    return rf_sum([(coef, num, den)])
 
 
 def rf_sum(terms) -> RationalFunction:
-    """Balanced sum; much cheaper than a left fold on long term lists."""
-    items = list(terms)
-    if not items:
+    """Canonical form of a sum of terms ``(coef, num, den)``, each in the
+    format of ``rf``; the terms are added in partial fractions and the
+    total is canonicalized once."""
+    poly_part, residues = [], {}
+    for coef, num, den in terms:
+        coef, factors = Fraction(coef), []
+        for item in den:
+            (n, v), e = item if isinstance(item[0], tuple) else (item, 1)
+            if (n, v) == (0, 0):
+                raise ValueError("(0, 0) is not a linear factor")
+            if e < 0:
+                raise ValueError("denominator exponents must be positive")
+            # the content and sign of the factor, or all of it when N = 0,
+            # move into the coefficient
+            g = gcd(n, v) if n > 0 else -gcd(n, v) if n else v
+            coef /= g ** e
+            if n:
+                factors += [(n // g, v // g)] * e
+        p, res = [coef * c for c in num], {}
+        for f in factors:
+            p, res = _divide(p, res, f)
+        poly_part = poly.add(poly_part, p)
+        for key, c in res.items():
+            residues[key] = residues.get(key, 0) + c
+    return _canonical(poly_part, {key: c for key, c in residues.items() if c})
+
+
+def _divide(p, res, g):
+    """``p(s) + sum res[f, k] / f^k``, divided by the primitive factor ``g``."""
+    m, mu = g
+    out = {}
+    # synthetic division from the top: p = g q + r
+    q = [0] * (len(p) - 1)
+    r = p[-1] if p else 0
+    for i in range(len(p) - 2, -1, -1):
+        q[i] = r / m
+        r = p[i] - mu * q[i]
+    if r:
+        out[g, 1] = r
+    for (f, k), c in res.items():
+        if f == g:
+            out[g, k + 1] = c
+            continue
+        # c / (f^k g) = (n / d) c / f^k - (m / d) c / (f^(k-1) g), unrolled
+        n, v = f
+        d = n * mu - m * v
+        for j in range(k, 0, -1):
+            c /= d
+            out[f, j] = out.get((f, j), 0) + c * n
+            c *= -m
+        out[g, 1] = out.get((g, 1), 0) + c
+    return q, out
+
+
+def _canonical(poly_part, residues) -> RationalFunction:
+    """``(scale, num, den)`` of a sum in partial fractions, in integers:
+    with ``D = prod f^e`` over the pole orders ``e``, the numerator is
+    ``p D + sum_f (D / f^e) sum_k c_k f^(e - k)``, cleared of the
+    denominators of the coefficients and then of its content."""
+    if not poly_part and not residues:
         return ZERO
-    while len(items) > 1:
-        items = [items[i] + items[i + 1] if i + 1 < len(items) else items[i]
-                 for i in range(0, len(items), 2)]
-    return items[0]
+    orders = {}
+    for f, k in residues:
+        orders[f] = max(orders.get(f, 0), k)
+    den = sorted(orders.items())
+    q = lcm(*(c.denominator for c in (*poly_part, *residues.values())))
+    full = [1]
+    for (n, v), e in den:
+        for _ in range(e):
+            full = poly.mul(full, [v, n])
+    num = poly.mul([int(c * q) for c in poly_part], full)
+    for (n, v), e in den:
+        cofactor = full
+        for _ in range(e):
+            cofactor = _div_linear(cofactor, n, v)
+        inner = []
+        for k in range(1, e + 1):       # Horner in f over c_1 .. c_e
+            c = residues.get(((n, v), k), 0)
+            inner = poly.add(poly.mul(inner, [v, n]), [int(c * q)])
+        num = poly.add(num, poly.mul(cofactor, inner))
+    content = gcd(*num) if num[-1] > 0 else -gcd(*num)
+    return RationalFunction(Fraction(content, q), tuple(c // content for c in num),
+                            tuple(den))
+
+
+def _div_linear(p, n, v):
+    """Exact quotient of an integer polynomial by ``n s + v``."""
+    q = [0] * (len(p) - 1)
+    hi = 0
+    for i in range(len(p) - 1, 0, -1):
+        hi = (p[i] - v * hi) // n
+        q[i - 1] = hi
+    return q
 
 
 class Pole(NamedTuple):
@@ -260,8 +224,8 @@ class Candidate(NamedTuple):
 def poles(z: RationalFunction) -> list[Pole]:
     """Denominator roots with their orders, sorted by value.
 
-    The canonical form has no factor dividing the numerator, so the order
-    of the pole at -nu/N is exactly the stored exponent.
+    The stored exponent of a factor is the highest power with a nonzero
+    residue, so it is exactly the order of the pole at -nu/N.
     """
     out = [Pole(Fraction(-v, n), e) for (n, v), e in z.den]
     out.sort(key=lambda p: p.value)
@@ -303,8 +267,8 @@ def zeta_general(tree: AnnotatedTree) -> RationalFunction:
     for bam in tree.bamboos:
         fs = bam.faces
         k = len(fs)
-        terms.append(rf(fs[0].b, (1,),
-                        [(bam.base_mult, bam.base_nu), (fs[0].mult, fs[0].nu)]))
+        terms.append((fs[0].b, (1,),
+                      [(bam.base_mult, bam.base_nu), (fs[0].mult, fs[0].nu)]))
         for i in range(k):
             if i + 1 < k:
                 d = fs[i].a * fs[i + 1].b - fs[i].b * fs[i + 1].a
@@ -312,10 +276,10 @@ def zeta_general(tree: AnnotatedTree) -> RationalFunction:
             else:
                 d = fs[i].a
                 nxt = (0, 1)
-            terms.append(rf(d, (1,), [(fs[i].mult, fs[i].nu), nxt]))
-            terms.append(rf(-len(fs[i].classes), (1,), [(fs[i].mult, fs[i].nu)]))
+            terms.append((d, (1,), [(fs[i].mult, fs[i].nu), nxt]))
+            terms.append((-len(fs[i].classes), (1,), [(fs[i].mult, fs[i].nu)]))
         for f in fs:
             n_leaves = sum(isinstance(cls, Leaf) for cls in f.classes)
             if n_leaves:
-                terms.append(rf(n_leaves, (1,), [(f.mult, f.nu), (1, 1)]))
+                terms.append((n_leaves, (1,), [(f.mult, f.nu), (1, 1)]))
     return rf_sum(terms)

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import time
 
 import pytest
 
@@ -8,9 +10,11 @@ from topzeta.cli import (EXIT_DEGENERATE, EXIT_INCONSISTENT, EXIT_INVALID,
                          EXIT_OK, EXIT_USAGE, FuzzConfig, analyze_poly,
                          analyze_tree, check_instance, main, random_face_specs,
                          random_tree, render_report, tree_hash)
-from topzeta.equitree import Bamboo, Face, LEAF, tree_from_json, validate
+from topzeta.equitree import (Bamboo, Face, LEAF, annotate, tree_from_json,
+                              validate)
 from topzeta.monodromy import CycloProduct
-from topzeta.resolution import build_graph
+from topzeta.resolution import build_graph, definitional_zeta
+from topzeta.zeta import zeta_general
 
 CUSP_JSON = {"faces": [{"a": 2, "b": 3, "classes": ["leaf"]}]}
 
@@ -89,6 +93,54 @@ def test_tree_command_rejects_leading_zero_integers(tmp_path, capsys):
     path.write_text('{"faces": [{"a": 02, "b": 3, "classes": ["leaf"]}]}')
     assert main(["tree", str(path)]) == EXIT_INVALID
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def nested_chain_json(depth, a, b):
+    return ('{"faces":[{"a":%d,"b":%d,"classes":[' % (a, b)) * depth + '"leaf"' + ']}]}' * depth
+
+
+@pytest.mark.parametrize("depth, b", [(12, 10 ** 400 + 1), (4, 10 ** 4298 + 1)],
+                         ids=["long-numerator", "long-pole-values"])
+def test_tree_command_prints_numbers_past_the_digit_limit(tmp_path, capsys, depth, b):
+    # valid trees whose zeta numerator, and in the second case also the
+    # pole values, have more digits than Python's default int-to-str
+    # limit of 4300
+    path = tmp_path / "big.json"
+    path.write_text(nested_chain_json(depth, 2, b))
+    limit = sys.get_int_max_str_digits()
+    assert main(["tree", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert text.startswith("input: tree") and "milnor number: " in text
+    assert main(["tree", str(path), "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(out)
+        assert json.dumps(report, indent=2) + "\n" == out
+        assert max(len(str(c)) for c in report["zeta"]["numerator"]) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_tree_command_rejects_integer_literals_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"faces": [{"a": 2, "b": 1%s1, "classes": ["leaf"]}]}' % ("0" * 4400))
+    assert main(["tree", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_deep_chain_oracle_in_time():
+    # both zeta sums of a depth-80 nested (2, 3) chain add 80-odd poles;
+    # they must not multiply out the denominators term by term
+    spec = tree_from_json(json.loads(nested_chain_json(80, 2, 3)))
+    start = time.perf_counter()
+    report, code = analyze_tree(spec, oracle=True)
+    assert time.perf_counter() - start < 3.0
+    assert code == EXIT_OK and report["oracle_check"] == "equal"
+    annotated = annotate(spec)
+    assert definitional_zeta(build_graph(annotated)) == zeta_general(annotated)
 
 
 def test_poly_command_ok(capsys):

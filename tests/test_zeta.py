@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.zeta import (ZERO, candidate_poles, is_order_two_candidate,
-                          poles, rf, zeta_general, zeta_nondegenerate)
+                          poles, rf, rf_sum, zeta_general, zeta_nondegenerate)
 
 
 def annotated(*faces):
@@ -17,15 +18,34 @@ CUSP = annotated(Face(2, 3, (LEAF,)))
 TWO_PAIR = annotated(Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)),)))
 
 
-# --- rational function arithmetic -------------------------------------------
+# --- rational functions: sums in partial fractions ---------------------------
+
+def term(z):
+    """A canonical rational function as one term of ``rf_sum``."""
+    return (z.scale, z.num, z.den)
+
+
+def value(z, s):
+    out = z.scale * sum(c * s ** i for i, c in enumerate(z.num))
+    for (n, v), e in z.den:
+        out /= (n * s + v) ** e
+    return out
+
+
+def term_value(coef, num, den, s):
+    out = coef * sum(c * s ** i for i, c in enumerate(num))
+    for n, v in den:
+        out /= n * s + v
+    return Fraction(out)
+
 
 def test_rf_add_same_denominator():
     one_over = rf(1, (1,), [(1, 1)])
-    assert one_over + one_over == rf(2, (1,), [(1, 1)])
+    assert rf_sum([term(one_over), term(one_over)]) == rf(2, (1,), [(1, 1)])
 
 
 def test_rf_partial_fraction_identity():
-    got = rf(5, (1,), [(6, 5)]) - rf(1, (0, 1), [(1, 1), (6, 5)])
+    got = rf_sum([(5, (1,), [(6, 5)]), (-1, (0, 1), [(1, 1), (6, 5)])])
     assert got == rf(1, (5, 4), [(1, 1), (6, 5)])
 
 
@@ -43,9 +63,9 @@ def test_rf_normalizes_factor_content():
 
 def test_rf_zero_and_scalars():
     assert rf(0) == ZERO
-    assert rf(3) + rf(-3) == ZERO
-    assert ZERO + rf(7) == rf(7)
-    assert rf(2, (1, 1)) * rf(3) == rf(6, (1, 1))
+    assert rf_sum([(3, (1,), ()), (-3, (1,), ())]) == ZERO
+    assert rf_sum([term(ZERO), term(rf(7))]) == rf(7)
+    assert rf_sum([]) == ZERO
 
 
 def test_rf_rejects_zero_factor():
@@ -53,22 +73,45 @@ def test_rf_rejects_zero_factor():
         rf(1, (1,), [(0, 0)])
 
 
-def small_rfs():
+def test_pole_order_is_the_highest_surviving_power():
+    # s / (s+1)^2 = 1/(s+1) - 1/(s+1)^2: the top residue at -1 cancels
+    # against the second term, so -1 is a simple pole of the sum
+    z = rf_sum([(1, (0, 1), [((1, 1), 2)]), (1, (1,), [((1, 1), 2)]),
+                (2, (1,), [(1, 1), ((2, 1), 2)])])
+    assert poles(z) == [(Fraction(-1), 1), (Fraction(-1, 2), 2)]
+    assert z == rf(1, (3, 4, 4), [(1, 1), ((2, 1), 2)])
+
+
+def small_terms():
     factor = st.tuples(st.integers(0, 4), st.integers(1, 4))
-    return st.builds(
-        lambda c, num, den: rf(c, num or (1,), den),
+    return st.tuples(
         st.integers(-4, 4),
         st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple),
-        st.lists(factor, max_size=2),
+        st.lists(factor, max_size=3),
     )
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_rfs(), small_rfs(), small_rfs())
-def test_rf_ring_laws(x, y, z):
-    assert x + y == y + x
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
+@given(st.lists(small_terms(), max_size=6), st.randoms(use_true_random=False),
+       st.integers(0, 6))
+def test_rf_ring_laws(terms, rnd, cut):
+    # the additive laws: the order and grouping of the terms do not
+    # matter, and the sum has the exact value of the terms added one by one
+    z = rf_sum(terms)
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    assert rf_sum(shuffled) == z
+    assert rf_sum([term(rf_sum(terms[:cut])), term(rf_sum(terms[cut:]))]) == z
+    for s in (Fraction(1, 7), Fraction(2, 3), Fraction(5, 2), Fraction(3)):
+        assert value(z, s) == sum(term_value(*t, s) for t in terms)
+    # canonical: primitive numerator with positive leading coefficient,
+    # sorted primitive factors, none of them a root of the numerator
+    if z.num:
+        assert gcd(*z.num) == 1 and z.num[-1] > 0
+    assert list(z.den) == sorted(z.den)
+    for (n, v), e in z.den:
+        assert n >= 1 and gcd(n, v) == 1 and e >= 1
+        assert sum(c * Fraction(-v, n) ** i for i, c in enumerate(z.num)) != 0
 
 
 # --- closed forms ------------------------------------------------------------
