@@ -31,8 +31,8 @@ from math import gcd
 
 from .equitree import (Bamboo, Face, LEAF, TreeJSONError, annotate,
                        annotate_faces, tree_from_json, tree_to_json, validate)
-from .monodromy import (CharPoly, CycloProduct, acampo_from_graph,
-                        characteristic_poly, conjecture_report, monodromy_zeta)
+from .monodromy import (CycloProduct, acampo_from_graph, characteristic_poly,
+                        conjecture_report, monodromy_zeta)
 from .newton import (DegenerateCurveError, ParseError, newton_faces,
                      parse_poly, poly_to_str, to_face_specs)
 from .resolution import build_graph, chain_determinant_check, definitional_zeta
@@ -45,6 +45,8 @@ EXIT_DEGENERATE = 3
 EXIT_INCONSISTENT = 4
 
 FUZZ_EXPANSION_CAP = 4000   # palindrome checks only below this degree
+FUZZ_MAX_CLASSES = 3        # branch classes per random face: 1..3
+FUZZ_EXTRA_RAYS = 3         # random rays per bamboo of the refined graph
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,9 @@ class FuzzConfig:
     max_depth: int = 3
     max_k: int = 3
     max_ab: int = 9
-    max_classes: int = 3
-    leaf_probability: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
-        for name in ("count", "max_depth", "max_k", "max_classes"):
+        for name in ("count", "max_depth", "max_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.max_ab < 3:
@@ -81,10 +81,9 @@ def random_tree(rng: random.Random, cfg: FuzzConfig, depth: int = 1) -> Bamboo:
     faces = []
     for a, b in _random_coprime_pairs(rng, k, cfg.max_ab):
         classes = []
-        for _ in range(rng.randint(1, cfg.max_classes)):
-            force_leaf = depth >= cfg.max_depth
-            p = cfg.leaf_probability
-            if force_leaf or rng.randrange(p.denominator) < p.numerator:
+        for _ in range(rng.randint(1, FUZZ_MAX_CLASSES)):
+            # below the depth bound a class is a leaf with probability 1/2
+            if depth >= cfg.max_depth or rng.randrange(2) == 0:
                 classes.append(LEAF)
             else:
                 classes.append(random_tree(rng, cfg, depth + 1))
@@ -193,12 +192,6 @@ def _analyze(annotated, inp: dict, oracle: bool):
     return report, code
 
 
-def _render_delta(delta: CharPoly) -> str:
-    if delta.coeffs is not None:
-        return poly_str(delta.coeffs, "t")
-    return str(delta.cyclo)
-
-
 def render_report(report: dict) -> str:
     lines = []
     inp = report["input"]
@@ -225,10 +218,9 @@ def render_report(report: dict) -> str:
     zm = CycloProduct(tuple((f["n"], f["e"]) for f in report["monodromy_zeta"]))
     lines.append(f"monodromy zeta: {zm}")
     dj = report["delta"]
-    delta = CharPoly(CycloProduct(tuple((f["n"], f["e"]) for f in dj["factors"])),
-                     tuple(dj["coeffs"]) if dj["coeffs"] is not None else None,
-                     dj["mu"])
-    lines.append(f"char poly H1: {_render_delta(delta)}")
+    delta = (poly_str(dj["coeffs"], "t") if dj["coeffs"] is not None
+             else CycloProduct(tuple((f["n"], f["e"]) for f in dj["factors"])))
+    lines.append(f"char poly H1: {delta}")
     lines.append(f"milnor number: {report['milnor_number']}")
     conj = report["conjecture"]
     lines.append(f"conjecture: {conj['verdict']}")
@@ -248,7 +240,7 @@ def render_report(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # fuzz harness
 
-def check_instance(spec: Bamboo, *, ray_seed: int = 0, extra_rays: int = 3) -> dict:
+def check_instance(spec: Bamboo, *, ray_seed: int = 0) -> dict:
     """All differential checks for one tree; maps check name to ok flag."""
     checks = {}
     annotated = annotate(spec)
@@ -258,24 +250,24 @@ def check_instance(spec: Bamboo, *, ray_seed: int = 0, extra_rays: int = 3) -> d
     checks["zeta_closed_vs_oracle"] = definitional_zeta(graph) == z
     checks["monodromy_closed_vs_oracle"] = acampo_from_graph(graph) == zm
     checks["chain_determinants"] = chain_determinant_check(graph) is None
-    refined = build_graph(annotated, extra_rays=extra_rays, seed=ray_seed)
+    refined = build_graph(annotated, extra_rays=FUZZ_EXTRA_RAYS, seed=ray_seed)
     checks["zeta_ray_invariance"] = definitional_zeta(refined) == z
     checks["monodromy_ray_invariance"] = acampo_from_graph(refined) == zm
     checks["chain_determinants_refined"] = chain_determinant_check(refined) is None
     try:
         delta = characteristic_poly(zm, max_degree=FUZZ_EXPANSION_CAP)
-        checks["delta_polynomial"] = delta.mu >= 0
-        if delta.coeffs is not None:
-            c = delta.coeffs
-            sign = 1 if c[0] == c[-1] else -1
-            checks["delta_palindrome"] = all(
-                c[j] == sign * c[delta.mu - j] for j in range(len(c)))
     except ArithmeticError:
-        checks["delta_polynomial"] = False
+        delta = None
+    checks["delta_polynomial"] = delta is not None
+    if delta is not None and delta.coeffs is not None:
+        c = delta.coeffs
+        sign = 1 if c[0] == c[-1] else -1
+        checks["delta_palindrome"] = all(
+            c[j] == sign * c[delta.mu - j] for j in range(len(c)))
     cand_values = {c.value for c in candidate_poles(annotated)}
     checks["pole_containment"] = all(p.value in cand_values for p in poles(z))
-    checks["conjecture"] = conjecture_report(
-        z, characteristic_poly(zm, max_degree=0).cyclo).holds()
+    # without a polynomial there are no eigenvalues to check the poles against
+    checks["conjecture"] = delta is not None and conjecture_report(z, delta.cyclo).holds()
     return checks
 
 

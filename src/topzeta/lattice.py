@@ -19,7 +19,15 @@ rest of the package treats as canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
+
+# The most exceptional divisors one resolution graph may have, and so the
+# most rays of one subdivision: a cone (1, 0), (a, b) needs about b / a, so
+# subdivisions are refused, as their rays are made, past this bound.  It is
+# above the largest input the tests and the benchmark build (a (3, 100003)
+# face: 33,335 rays); a (2, b) face passes it from b = 199,999 on.
+MAX_DIVISORS = 100_000
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,13 @@ class Subdivision:
                 raise ValueError(f"subdivision is not regular at {u}, {v}")
 
 
+class TooManyRays(ValueError):
+    """A subdivision passed MAX_DIVISORS rays filling the cone ``ray`` closes."""
+    def __init__(self, ray: PrimitiveVector):
+        super().__init__(f"a regular subdivision needs more than {MAX_DIVISORS} rays")
+        self.ray = ray
+
+
 def minimal_regular_refinement(u: PrimitiveVector, v: PrimitiveVector):
     """Hull generators strictly between u and v.
 
@@ -90,19 +105,22 @@ def minimal_regular_refinement(u: PrimitiveVector, v: PrimitiveVector):
     det(u, v) = 0 mod d and u is primitive, v = c*u mod d, and Bezout
     coefficients x*u.a + y*u.b = 1 read off c = x*v.a + y*v.b, so p = -c.
     """
+    return list(_hull_generators(u, v))
+
+
+def _hull_generators(u, v):
+    """The generators of minimal_regular_refinement, one at a time."""
     d = det(u, v)
     if d <= 0:
         raise ValueError(f"rays {u}, {v} do not span a cone: det = {d}")
-    out = []
     while d > 1:
         x, y = _bezout(u.a, u.b)
         p = -(x * v.a + y * v.b) % d
         if (p * u.a + v.a) % d or (p * u.b + v.b) % d:
             raise AssertionError("no integral hull neighbour; u not primitive?")
         u = PrimitiveVector((p * u.a + v.a) // d, (p * u.b + v.b) // d)
-        out.append(u)
+        yield u
         d = det(u, v)
-    return out
 
 
 def _bezout(a, b):
@@ -128,16 +146,7 @@ def admissible_subdivision(principal) -> Subdivision:
     for p, q in zip(principal, principal[1:]):
         if not slope_less(p, q):
             raise ValueError(f"rays out of slope order: {p} before {q}")
-    chain = [X_FRAME, *principal, Y_FRAME]
-    vectors = []
-    for u, v in zip(chain, chain[1:]):
-        vectors.extend(minimal_regular_refinement(u, v))
-        if v is not Y_FRAME:
-            vectors.append(v)
-    sub = Subdivision(tuple(vectors))
-    if vectors:
-        assert vectors[0].b == 1 and vectors[-1].a == 1
-    return sub
+    return _regularize([X_FRAME, *principal, Y_FRAME])
 
 
 def insert_rays(sub: Subdivision, extra) -> Subdivision:
@@ -158,9 +167,19 @@ def insert_rays(sub: Subdivision, extra) -> Subdivision:
                 break
         else:
             rays.append(w)
+    return _regularize(rays)
+
+
+def _regularize(rays) -> Subdivision:
+    """The subdivision through the slope-increasing ``rays``, frames
+    included, with every gap filled by its hull generators; raises
+    TooManyRays before it holds more than MAX_DIVISORS of them."""
     vectors = []
     for u, v in zip(rays, rays[1:]):
-        vectors.extend(minimal_regular_refinement(u, v))
+        room = MAX_DIVISORS + 1 - len(vectors)
+        vectors.extend(islice(_hull_generators(u, v), room))
         if v is not Y_FRAME:
             vectors.append(v)
+        if len(vectors) > MAX_DIVISORS:
+            raise TooManyRays(v)
     return Subdivision(tuple(vectors))

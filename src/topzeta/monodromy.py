@@ -14,16 +14,24 @@ multiplicities are computed arithmetically: a primitive d-th root of
 unity has multiplicity  sum of e_n over d | n,  which is well defined
 because the coefficients are real.  Eigenvalue queries therefore never
 touch floating point.
+
+The characteristic polynomial's coefficients are its power series modulo
+``t^(mu + 1)``, one list of ``mu + 1`` integers: a factor ``(1 - t^n)``
+multiplies it as a shifted subtraction, and divides it as a running sum
+along each residue class mod n.  Truncation is exact because the root
+multiplicities, all nonnegative, have shown the product to be a
+polynomial of degree ``mu``; no intermediate product grows past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import sub
 from typing import NamedTuple
 
-from . import poly
 from .equitree import AnnotatedTree
 from .zeta import RationalFunction, poles, zeta_general
 
@@ -125,46 +133,26 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
     for n, _ in cyclo.factors:
         orders |= {gcd(n, d) for d in orders} | {n}
     for d in sorted(orders):
-        m = sum(e for n, e in cyclo.factors if n % d == 0)
+        m = root_multiplicity(cyclo, d)
         if m < 0:
             raise ArithmeticError(
                 f"not a polynomial: multiplicity {m} at root order {d}")
     assert mu >= 0
     coeffs = None
     if mu <= max_degree:
-        f = [1]
+        f = [1] + [0] * mu
+        top = 0
         for n, e in cyclo.factors:
-            for _ in range(max(e, 0)):
-                f = _times_one_minus(f, n)
+            for _ in range(e):
+                top = min(top + n, mu)
+                f[n:top + 1] = map(sub, f[n:top + 1], f[:top + 1 - n])
         for n, e in cyclo.factors:
-            for _ in range(max(-e, 0)):
-                f = _div_one_minus(f, n)
-        assert len(f) - 1 == mu
+            for _ in range(-e):
+                for r in range(min(n, mu + 1)):
+                    f[r::n] = accumulate(f[r::n])
+        assert f[mu] == (-1) ** sum(e for _, e in cyclo.factors)
         coeffs = tuple(f)
     return CharPoly(cyclo, coeffs, mu)
-
-
-def _times_one_minus(f, n):
-    out = list(f) + [0] * n
-    for i, c in enumerate(f):
-        out[i + n] -= c
-    return poly.trim(out)
-
-
-def _div_one_minus(f, n):
-    # exact division by (1 - t^n): q_i = f_i + q_{i-n}
-    if not f:
-        return []
-    if len(f) <= n:
-        raise ArithmeticError("inexact cyclotomic division")
-    q = [0] * (len(f) - n)
-    for i in range(len(f)):
-        val = f[i] + (q[i - n] if i >= n else 0)
-        if i < len(q):
-            q[i] = val
-        elif val != 0:
-            raise ArithmeticError("inexact cyclotomic division")
-    return q
 
 
 def root_multiplicity(delta, d: int) -> int:

@@ -31,8 +31,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .equitree import AnnotatedTree, Leaf, annotate_faces
-from .lattice import (PrimitiveVector, Subdivision, X_FRAME, Y_FRAME,
-                      admissible_subdivision, det, insert_rays)
+from .lattice import (MAX_DIVISORS, PrimitiveVector, Subdivision, TooManyRays,
+                      X_FRAME, Y_FRAME, admissible_subdivision, det, insert_rays)
 from .zeta import RationalFunction, rf_sum
 
 
@@ -59,22 +59,6 @@ class ResolutionGraph:
     nodes: tuple[DivisorNode, ...]
     edges: tuple[tuple[int, int], ...]
     chains: tuple[ChainRecord, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "vector": [n.vector.a, n.vector.b] if n.vector else None,
-                    "N": n.mult,
-                    "nu": n.nu,
-                    "chi": n.chi,
-                }
-                for n in self.nodes
-            ],
-            "edges": [list(e) for e in self.edges],
-        }
 
 
 class ChainViolation(NamedTuple):
@@ -157,15 +141,29 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
     bamboo, deterministically from ``seed``.  Inserted divisors sit on
     chain interiors, so their open strata have Euler characteristic zero
     and all derived invariants must be unchanged.
+
+    Raises ValueError naming a bamboo's face when the graph would have
+    more than ``lattice.MAX_DIVISORS`` exceptional divisors.
     """
     rng = random.Random(seed)
     b = _Builder()
     principal_by_bamboo = {}
+    used = 0
     for bam in tree.bamboos:
         principal = [PrimitiveVector(f.a, f.b) for f in bam.faces]
-        sub = admissible_subdivision(principal)
-        for _ in range(extra_rays):
-            sub = _random_refine(sub, rng)
+        try:
+            sub = admissible_subdivision(principal)
+            for _ in range(extra_rays):
+                sub = _random_refine(sub, rng)
+            used += len(sub.vectors)
+            if used > MAX_DIVISORS:     # name the first ray past the bound
+                raise TooManyRays(sub.vectors[MAX_DIVISORS - used])
+        except TooManyRays as exc:
+            # name the face whose cone holds the ray, or the last face
+            face = min(sum(det(p, exc.ray) > 0 for p in principal), len(principal) - 1)
+            where = "".join(f"/faces/{i}/classes/{l}" for i, l in bam.path)
+            raise ValueError(f"resolution graph needs more than {MAX_DIVISORS} "
+                             f"divisors at path {where}/faces/{face}") from None
         alphas = [bam.base_mult] + [f.alpha for f in bam.faces]
         betas = [bam.beta0] + [f.beta for f in bam.faces]
         pids = b.chain(bam.path, sub, principal, alphas, betas, bam.base_nu)

@@ -232,7 +232,7 @@ def test_criterion_08_monodromy_conjecture(tree_corpus, face_corpus):
 
 
 def test_criterion_09_structural_checks(tree_corpus, face_corpus):
-    expanded = 0
+    expanded = wide = 0
     for inst in tree_corpus + face_corpus:
         zmon = inst.zmon
         delta = characteristic_poly(zmon, max_degree=EXPANSION_CAP)
@@ -250,10 +250,20 @@ def test_criterion_09_structural_checks(tree_corpus, face_corpus):
             assert len(c) == mu + 1
             sign = 1 if c[0] == c[-1] else -1
             assert all(c[j] == sign * c[mu - j] for j in range(mu + 1))
+            # the coefficients against the product itself, in exact arithmetic
+            for x in (2, -2, 3):
+                product = Fraction(1)
+                for n, e in delta.cyclo.factors:
+                    product *= Fraction(1 - x ** n) ** e
+                value = 0
+                for ci in reversed(c):
+                    value = value * x + ci
+                assert value == product, (delta.cyclo, x)
+            wide += any(e < 0 and n > mu for n, e in delta.cyclo.factors)
         assert chain_determinant_check(inst.graph) is None
-    assert expanded >= 100
-    print(f"criterion  9 PASS  delta polynomial and palindromic "
-          f"({expanded} expansions), chain determinants hold")
+    assert expanded >= 100 and wide >= 1
+    print(f"criterion  9 PASS  delta polynomial, palindromic and equal to the "
+          f"product ({expanded} expansions), chain determinants hold")
 
 
 def test_criterion_10_divisibility(tree_corpus, face_corpus):

@@ -143,6 +143,20 @@ def test_deep_chain_oracle_in_time():
     assert definitional_zeta(build_graph(annotated)) == zeta_general(annotated)
 
 
+def test_tree_oracle_refuses_a_graph_past_the_size_limit(tmp_path, capsys):
+    # a (2, b) face needs about b/2 divisors: the root face of the 12-deep
+    # (2, 10^400 + 1) chain is refused while its rays are made
+    path = tmp_path / "big.json"
+    path.write_text(nested_chain_json(12, 2, 10 ** 400 + 1))
+    start = time.perf_counter()
+    assert main(["tree", str(path), "--oracle"]) == EXIT_INVALID
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: resolution graph needs more than 100000 "
+                            "divisors at path /faces/0\n")
+
+
 def test_poly_command_ok(capsys):
     assert main(["poly", "x^2-y^2", "--oracle"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -232,6 +246,18 @@ def test_check_instance_all_green():
     spec = Bamboo((Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)), LEAF)),))
     checks = check_instance(spec, ray_seed=1)
     assert all(checks.values()), checks
+
+
+def test_fuzz_reports_a_monodromy_that_is_no_polynomial(capsys, tmp_path, monkeypatch):
+    # (1 - t^2)^-1 times (1 - t) is no polynomial: a defect fuzz must report
+    monkeypatch.setattr(cli, "monodromy_zeta", lambda tree: CycloProduct(((2, -1),)))
+    checks = check_instance(Bamboo((Face(2, 3, (LEAF,)),)))
+    assert checks["delta_polynomial"] is False and checks["conjecture"] is False
+    monkeypatch.chdir(tmp_path)
+    assert main(["fuzz", "--count", "1", "--seed", "1"]) == EXIT_INCONSISTENT
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "delta_polynomial" in out and "conjecture" in out
+    assert len(list(tmp_path.glob("fuzz-fail-*.json"))) == 1
 
 
 def test_render_report_contains_every_section(cusp_file):

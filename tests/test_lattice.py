@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topzeta.lattice import (PrimitiveVector, Subdivision, X_FRAME, Y_FRAME,
+from topzeta.lattice import (MAX_DIVISORS, PrimitiveVector, Subdivision,
+                             TooManyRays, X_FRAME, Y_FRAME,
                              admissible_subdivision, det, insert_rays,
                              minimal_regular_refinement, slope_less)
 
@@ -215,6 +216,23 @@ def test_admissible_subdivision_large_b_in_time():
     sub = admissible_subdivision([pv(3, 100003)])
     assert time.perf_counter() - start < 2.0
     check_subdivision(sub, [pv(3, 100003)])
+
+
+def test_subdivision_refused_past_max_divisors():
+    # (2, b) needs (b + 3) / 2 rays: b = 2 MAX - 3 is the largest that fits
+    b = 2 * MAX_DIVISORS - 3
+    assert len(admissible_subdivision([pv(2, b)]).vectors) == MAX_DIVISORS
+    with pytest.raises(TooManyRays) as exc:
+        admissible_subdivision([pv(2, b + 2)])
+    assert exc.value.ray == Y_FRAME     # the last ray made closes the frame cone
+    start = time.perf_counter()
+    with pytest.raises(TooManyRays) as exc:
+        admissible_subdivision([pv(3, 4), pv(2, 10 ** 400 + 1)])
+    assert time.perf_counter() - start < 2.0
+    assert exc.value.ray == pv(2, 10 ** 400 + 1)
+    base = admissible_subdivision([pv(1, MAX_DIVISORS - 1)])
+    with pytest.raises(TooManyRays):
+        insert_rays(base, [pv(1, MAX_DIVISORS + 1)])
 
 
 # --- insert_rays -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import pytest
+
 from topzeta.equitree import Bamboo, Face, LEAF, annotate
 from topzeta.lattice import PrimitiveVector
 from topzeta.resolution import (DivisorNode, ResolutionGraph, build_graph,
@@ -112,13 +114,21 @@ def test_euler_characteristic_is_tree_count():
     assert euler_characteristic_total(refined) == len(exceptional(refined)) + 1
 
 
+def test_graph_refused_past_max_divisors():
+    # each bamboo fits (60,002 rays), the two together do not
+    sub = Bamboo((Face(2, 120_001, (LEAF,)),))
+    tree = annotated(Face(2, 120_001, (sub,)))
+    with pytest.raises(ValueError, match="more than 100000 divisors at "
+                                         "path /faces/0/classes/0/faces/0$"):
+        build_graph(tree)
+    assert len(build_graph(annotate(sub)).nodes) == 60_003
+
+
 def test_graph_serialization_is_stable():
     g = build_graph(TWO_PAIR)
-    d = g.to_json_dict()
-    assert d == build_graph(TWO_PAIR).to_json_dict()
-    assert [n["id"] for n in d["nodes"]] == list(range(len(g.nodes)))
-    kinds = {n["kind"] for n in d["nodes"]}
-    assert kinds == {"exceptional", "branch"}
-    branch = next(n for n in d["nodes"] if n["kind"] == "branch")
-    assert branch["vector"] is None and branch["chi"] is None
-    assert branch["N"] == 1 and branch["nu"] == 1
+    assert g == build_graph(TWO_PAIR)
+    assert [n.id for n in g.nodes] == list(range(len(g.nodes)))
+    assert {n.kind for n in g.nodes} == {"exceptional", "branch"}
+    branch = next(n for n in g.nodes if n.kind == "branch")
+    assert branch.vector is None and branch.chi is None
+    assert branch.mult == 1 and branch.nu == 1
