@@ -212,8 +212,7 @@ def render_report(report: dict) -> str:
             if s == "universal":
                 srcs.append("universal")
             else:
-                where = f"bamboo {s['bamboo']}" if "bamboo" in s else ""
-                srcs.append(f"{where} face {s['face']}".strip())
+                srcs.append(f"bamboo {s['bamboo']} face {s['face']}")
         lines.append(f"  {entry['value']}  order {entry['order']}  ({'; '.join(srcs)})")
     zm = CycloProduct(tuple((f["n"], f["e"]) for f in report["monodromy_zeta"]))
     lines.append(f"monodromy zeta: {zm}")
@@ -346,6 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()      # built once: parsing leaves it unchanged
+
+
 @contextlib.contextmanager
 def _unlimited_digits():
     """Lift Python's int-to-str digit limit while a report's exact numbers
@@ -366,9 +368,8 @@ def _render(report, as_json) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

@@ -66,19 +66,13 @@ def parse_poly(text: str) -> dict:
     i = skip_ws(i)
     if i == n:
         raise ParseError("empty input", 0)
-    first = True
     while i < n:
+        # a sign is optional, and found before every term but the first:
+        # each term must end at '+', '-' or the end of the input
         sign = 1
-        if first:
-            if text[i] in "+-":
-                sign = -1 if text[i] == "-" else 1
-                i = skip_ws(i + 1)
-        else:
-            if text[i] not in "+-":
-                raise ParseError(f"expected '+' or '-', found {text[i]!r}", i)
+        if text[i] in "+-":
             sign = -1 if text[i] == "-" else 1
             i = skip_ws(i + 1)
-        first = False
 
         coef = Fraction(1)
         has_content = False

@@ -67,61 +67,6 @@ class ChainViolation(NamedTuple):
     got: int
 
 
-class _Builder:
-    def __init__(self):
-        self.nodes = []
-        self.edges = []
-        self.chains = []
-
-    def chain(self, path, sub: Subdivision, principal, alphas, betas, base_nu):
-        """Emit the divisor chain of one bamboo; returns ids of the
-        principal nodes, keyed by face index."""
-        seg_dets = tuple(base_nu * b - a for a, b in zip(alphas, betas))
-        by_vector = {p: i for i, p in enumerate(principal)}
-        ids, segs = [], []
-        principal_ids = {}
-        prev = None
-        for t in sub.vectors:
-            seg = 0
-            for p in principal:
-                if det(p, t) >= 0:
-                    seg += 1
-                else:
-                    break
-            i = len(self.nodes)
-            self.nodes.append(DivisorNode(
-                id=i, kind="exceptional", vector=t,
-                mult=t.a * alphas[seg] + t.b * betas[seg],
-                nu=t.a * base_nu + t.b, chi=None,
-            ))
-            if prev is not None:
-                self.edges.append((prev, i))
-            ids.append(i)
-            segs.append(seg)
-            prev = i
-            if t in by_vector:
-                principal_ids[by_vector[t]] = i
-        self.chains.append(ChainRecord(path, tuple(ids), tuple(segs), seg_dets))
-        return principal_ids
-
-    def branch(self, principal_id):
-        i = len(self.nodes)
-        self.nodes.append(DivisorNode(i, "branch", None, 1, 1, None))
-        self.edges.append((principal_id, i))
-
-    def finish(self) -> ResolutionGraph:
-        degree = [0] * len(self.nodes)
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        nodes = tuple(
-            n if n.kind == "branch"
-            else DivisorNode(n.id, n.kind, n.vector, n.mult, n.nu, 2 - degree[n.id])
-            for n in self.nodes
-        )
-        return ResolutionGraph(nodes, tuple(self.edges), tuple(self.chains))
-
-
 def _random_refine(sub: Subdivision, rng: random.Random) -> Subdivision:
     rays = (X_FRAME, *sub.vectors, Y_FRAME)
     j = rng.randrange(len(rays) - 1)
@@ -146,8 +91,8 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
     more than ``lattice.MAX_DIVISORS`` exceptional divisors.
     """
     rng = random.Random(seed)
-    b = _Builder()
-    principal_by_bamboo = {}
+    raw, edges, chains = [], [], []     # raw nodes: (kind, vector, N, nu)
+    principal_ids = {}                  # bamboo path -> node id of each face
     used = 0
     for bam in tree.bamboos:
         principal = [PrimitiveVector(f.a, f.b) for f in bam.faces]
@@ -166,17 +111,37 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
                              f"divisors at path {where}/faces/{face}") from None
         alphas = [bam.base_mult] + [f.alpha for f in bam.faces]
         betas = [bam.beta0] + [f.beta for f in bam.faces]
-        pids = b.chain(bam.path, sub, principal, alphas, betas, bam.base_nu)
-        principal_by_bamboo[bam.path] = pids
+        # the chain in slope order: a ray's segment is the number of
+        # principal rays at or below it, so it only moves forward
+        first, seg, segs, pids = len(raw), 0, [], []
+        for t in sub.vectors:
+            while seg < len(principal) and det(principal[seg], t) >= 0:
+                seg += 1
+            if seg and principal[seg - 1] == t:
+                pids.append(len(raw))
+            raw.append(("exceptional", t, t.a * alphas[seg] + t.b * betas[seg],
+                        t.a * bam.base_nu + t.b))
+            segs.append(seg)
+        ids = range(first, len(raw))
+        edges += zip(ids, ids[1:])
+        chains.append(ChainRecord(bam.path, tuple(ids), tuple(segs),
+                                  tuple(bam.base_nu * b - a for a, b in zip(alphas, betas))))
+        principal_ids[bam.path] = pids
         if bam.path:
-            parent_path, (i, _) = bam.path[:-1], bam.path[-1]
-            first = b.chains[-1].node_ids[0]
-            b.edges.append((principal_by_bamboo[parent_path][i], first))
+            i = bam.path[-1][0]
+            edges.append((principal_ids[bam.path[:-1]][i], first))
         for i, f in enumerate(bam.faces):
             for cls in f.classes:
                 if isinstance(cls, Leaf):
-                    b.branch(pids[i])
-    return b.finish()
+                    edges.append((pids[i], len(raw)))
+                    raw.append(("branch", None, 1, 1))
+    degree = [0] * len(raw)
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    nodes = tuple(DivisorNode(i, kind, t, n, nu, None if t is None else 2 - degree[i])
+                  for i, (kind, t, n, nu) in enumerate(raw))
+    return ResolutionGraph(nodes, tuple(edges), tuple(chains))
 
 
 def build_graph_nondegenerate(faces, *, extra_rays: int = 0, seed: int = 0) -> ResolutionGraph:

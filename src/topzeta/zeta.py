@@ -170,10 +170,11 @@ def _divide(p, res, g):
 
 
 def _canonical(poly_part, residues) -> RationalFunction:
-    """``(scale, num, den)`` of a sum in partial fractions, in integers:
-    with ``D = prod f^e`` over the pole orders ``e``, the numerator is
-    ``p D + sum_f (D / f^e) sum_k c_k f^(e - k)``, cleared of the
-    denominators of the coefficients and then of its content."""
+    """``(scale, num, den)`` of a sum in partial fractions, in integers.
+    With the coefficients cleared of their denominators, ``num / D``
+    starts at ``p / 1`` and takes in one factor ``f`` of pole order ``e``
+    at a time as ``(num f^e + D sum_k c_k f^(e - k)) / (D f^e)``; the
+    numerator is then cleared of its content."""
     if not poly_part and not residues:
         return ZERO
     orders = {}
@@ -181,33 +182,18 @@ def _canonical(poly_part, residues) -> RationalFunction:
         orders[f] = max(orders.get(f, 0), k)
     den = sorted(orders.items())
     q = lcm(*(c.denominator for c in (*poly_part, *residues.values())))
-    full = [1]
+    num, full = [int(c * q) for c in poly_part], [1]
     for (n, v), e in den:
-        for _ in range(e):
-            full = poly.mul(full, [v, n])
-    num = poly.mul([int(c * q) for c in poly_part], full)
-    for (n, v), e in den:
-        cofactor = full
-        for _ in range(e):
-            cofactor = _div_linear(cofactor, n, v)
-        inner = []
-        for k in range(1, e + 1):       # Horner in f over c_1 .. c_e
+        power, inner = [1], []
+        for k in range(1, e + 1):       # f^e, and Horner in f over c_1 .. c_e
+            power = poly.mul(power, [v, n])
             c = residues.get(((n, v), k), 0)
             inner = poly.add(poly.mul(inner, [v, n]), [int(c * q)])
-        num = poly.add(num, poly.mul(cofactor, inner))
+        num = poly.add(poly.mul(num, power), poly.mul(inner, full))
+        full = poly.mul(full, power)
     content = gcd(*num) if num[-1] > 0 else -gcd(*num)
     return RationalFunction(Fraction(content, q), tuple(c // content for c in num),
                             tuple(den))
-
-
-def _div_linear(p, n, v):
-    """Exact quotient of an integer polynomial by ``n s + v``."""
-    q = [0] * (len(p) - 1)
-    hi = 0
-    for i in range(len(p) - 1, 0, -1):
-        hi = (p[i] - v * hi) // n
-        q[i - 1] = hi
-    return q
 
 
 class Pole(NamedTuple):

@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` pin the exact output of a few inputs
 that exercise every part of a report: the cusp, a three-level tree (also
-with ``--oracle``), a nested (2, 3) chain with large coefficients, a
+with ``--oracle``), nested (2, 3) chains of depth 5 and 20 whose
+canonical numerators have large coefficients, a
 polynomial whose candidate pole cancels, one with a double pole and one
 with a smooth ``(1, 1)`` face.  A change that means to keep the output
 must leave them as they are; one that means to change it regenerates
@@ -26,6 +27,7 @@ CASES = {
     "three-level": ["tree", str(TREES / "three_level.json")],
     "three-level-oracle": ["tree", str(TREES / "three_level.json"), "--oracle"],
     "chain5-oracle": ["tree", str(TREES / "chain5.json"), "--oracle"],
+    "chain20-oracle": ["tree", str(TREES / "chain20.json"), "--oracle"],
     "cancelled-candidate": ["poly", "y^3 - x^3*y - x^2*y^2 + x^5"],
     "double-pole": ["poly", "x^2*y^2 - x^5 - y^5 + x^3*y^3"],
     "smooth-face": ["poly", "x*y^2 - x^4 - y^3 + x^3*y", "--oracle"],
