@@ -16,11 +16,16 @@ because the coefficients are real.  Eigenvalue queries therefore never
 touch floating point.
 
 The characteristic polynomial's coefficients are its power series modulo
-``t^(mu + 1)``, one list of ``mu + 1`` integers: a factor ``(1 - t^n)``
-multiplies it as a shifted subtraction, and divides it as a running sum
-along each residue class mod n.  Truncation is exact because the root
-multiplicities, all nonnegative, have shown the product to be a
-polynomial of degree ``mu``; no intermediate product grows past it.
+``t^(mu + 1)``, one list of ``mu + 1`` integers.  The factors
+``(1 - t^n)`` with n > 1 go in with positive exponents first, in
+ascending n, then with negative ones: a multiplication is a shifted
+subtraction, a division a running sum along each residue class mod n.
+Each runs at stride g, the gcd of the exponents applied so far, since
+the series is zero off the multiples of g.  ``(1 - t)^e`` goes in at the
+first factor that would bring g to 1, or last.  Series modulo
+``t^(mu + 1)`` form a ring, so the order of the steps leaves the result
+as it is, and truncation is exact because the root multiplicities, all
+nonnegative, have shown the product to be a polynomial of degree ``mu``.
 """
 
 from __future__ import annotations
@@ -140,15 +145,23 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
     assert mu >= 0
     coeffs = None
     if mu <= max_degree:
+        # multiplications in ascending n, then divisions; (1 - t) goes in
+        # where the gcd of the exponents applied would first reach 1
+        steps = sorted(((n, e) for n, e in cyclo.factors if n > 1),
+                       key=lambda step: step[1] < 0)
+        at = next((i for i, g in enumerate(accumulate((n for n, _ in steps), gcd))
+                   if g == 1), len(steps))
+        steps.insert(at, (1, cyclo.exponents().get(1, 0)))
         f = [1] + [0] * mu
-        top = 0
-        for n, e in cyclo.factors:
+        top = g = 0
+        for n, e in steps:
+            g = gcd(g, n)
             for _ in range(e):
                 top = min(top + n, mu)
-                f[n:top + 1] = map(sub, f[n:top + 1], f[:top + 1 - n])
-        for n, e in cyclo.factors:
+                f[n:top + 1:g] = map(sub, f[n:top + 1:g], f[:top + 1 - n:g])
             for _ in range(-e):
-                for r in range(min(n, mu + 1)):
+                top = mu
+                for r in range(0, min(n, mu + 1), g):
                     f[r::n] = accumulate(f[r::n])
         assert f[mu] == (-1) ** sum(e for _, e in cyclo.factors)
         coeffs = tuple(f)

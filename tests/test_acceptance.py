@@ -232,7 +232,7 @@ def test_criterion_08_monodromy_conjecture(tree_corpus, face_corpus):
 
 
 def test_criterion_09_structural_checks(tree_corpus, face_corpus):
-    expanded = wide = 0
+    expanded = wide = strided = 0
     for inst in tree_corpus + face_corpus:
         zmon = inst.zmon
         delta = characteristic_poly(zmon, max_degree=EXPANSION_CAP)
@@ -260,10 +260,12 @@ def test_criterion_09_structural_checks(tree_corpus, face_corpus):
                     value = value * x + ci
                 assert value == product, (delta.cyclo, x)
             wide += any(e < 0 and n > mu for n, e in delta.cyclo.factors)
+            # exponents n > 1 with a common factor: expanded at a stride > 1
+            strided += gcd(*(n for n, _ in delta.cyclo.factors if n > 1)) > 1
         assert chain_determinant_check(inst.graph) is None
-    assert expanded >= 100 and wide >= 1
+    assert expanded >= 100 and wide >= 1 and strided >= 1
     print(f"criterion  9 PASS  delta polynomial, palindromic and equal to the "
-          f"product ({expanded} expansions), chain determinants hold")
+          f"product ({expanded} expansions, {strided} strided), chain determinants hold")
 
 
 def test_criterion_10_divisibility(tree_corpus, face_corpus):

@@ -4,8 +4,11 @@ The files under ``tests/golden/`` pin the exact output of a few inputs
 that exercise every part of a report: the cusp, a three-level tree (also
 with ``--oracle``), nested (2, 3) chains of depth 5 and 20 whose
 canonical numerators have large coefficients, a
-polynomial whose candidate pole cancels, one with a double pole and one
-with a smooth ``(1, 1)`` face.  A change that means to keep the output
+polynomial whose candidate pole cancels, one with a double pole, one
+with a smooth ``(1, 1)`` face, and two whose characteristic polynomial
+is expanded at a stride > 1: ``x^12 + y^12``, all on multiples of 12
+until ``(1 - t)`` runs last, and ``y^3 - x^10``, which divides at stride
+3 before ``(1 - t)``.  A change that means to keep the output
 must leave them as they are; one that means to change it regenerates
 them with ``PYTHONPATH=src python tests/test_golden.py`` and shows the
 difference.
@@ -31,6 +34,8 @@ CASES = {
     "cancelled-candidate": ["poly", "y^3 - x^3*y - x^2*y^2 + x^5"],
     "double-pole": ["poly", "x^2*y^2 - x^5 - y^5 + x^3*y^3"],
     "smooth-face": ["poly", "x*y^2 - x^4 - y^3 + x^3*y", "--oracle"],
+    "fermat12": ["poly", "x^12 + y^12"],
+    "stride-division": ["poly", "y^3 - x^10"],
 }
 
 

@@ -1,11 +1,12 @@
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
 
 import pytest
 
-from topzeta.equitree import Bamboo, Face, LEAF, annotate
+from topzeta import poly
+from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.monodromy import (CycloProduct, acampo_from_graph,
                                characteristic_poly, eigenvalue_witness,
                                is_eigenvalue, monodromy_zeta,
@@ -103,6 +104,84 @@ def test_characteristic_poly_verdict_matches_divisor_enumeration():
         else:
             assert polynomial, factors
     assert 0 < rejected < 400
+
+
+def test_characteristic_poly_fermat_800_in_time():
+    # x^800 + y^800: delta = (1 - t)(1 - t^800)^798, mu = 799^2; the
+    # expansion runs on multiples of 800 and is quadratic in n, not cubic
+    zm = monodromy_zeta(annotate_faces([(1, 1, 800)]))
+    start = time.perf_counter()
+    delta = characteristic_poly(zm)
+    assert time.perf_counter() - start < 2.0
+    expected = [0] * (delta.mu + 1)
+    for k in range(799):
+        expected[800 * k] = (-1) ** k * comb(798, k)
+        expected[800 * k + 1] = -expected[800 * k]
+    assert delta.mu == 799 ** 2 and delta.coeffs == tuple(expected)
+
+
+def mobius(n):
+    m, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            m = -m
+        p += 1
+    return -m if n > 1 else m
+
+
+def strides(factors):
+    """(n, e, stride) of each factor (1 - t^n)^e, n > 1, in the order
+    characteristic_poly applies them: the stride is the gcd of the
+    exponents applied so far."""
+    out, g = [], 0
+    for n, e in sorted(((n, e) for n, e in factors if n > 1), key=lambda f: f[1] < 0):
+        g = gcd(g, n)
+        out.append((n, e, g))
+    return out
+
+
+def test_characteristic_poly_matches_polynomial_division():
+    # products of cyclotomic polynomials Phi_d^m (up to sign), written as
+    # prod (1 - t^n)^e by Moebius inversion, against a reference that
+    # multiplies and exactly divides dense polynomials
+    rng = random.Random(31)
+    seen = {"e1 = 0": 0, "e1 < 0": 0, "e1 >= 2": 0,
+            "strided multiplication": 0, "strided division": 0}
+    checked = 0
+    while checked < 150:
+        exps = {}
+        for _ in range(rng.randint(1, 4)):
+            d, m = rng.randint(1, 36), rng.randint(1, 3)
+            for k in range(1, d + 1):
+                if d % k == 0 and mobius(d // k):
+                    exps[k] = exps.get(k, 0) + m * mobius(d // k)
+        exps[1] = exps.get(1, 0) - 1     # characteristic_poly multiplies by (1 - t)
+        delta = characteristic_poly(cyclo(exps))
+        if delta.mu > 400:
+            continue
+        checked += 1
+        factors = delta.cyclo.factors
+        ref = [1]
+        for n, e in factors:
+            for _ in range(e):
+                ref = poly.mul(ref, [1] + [0] * (n - 1) + [-1])
+        for n, e in factors:
+            for _ in range(-e):
+                ref, rem = poly.divmod_frac(ref, [1] + [0] * (n - 1) + [-1])
+                assert rem == []
+        assert list(delta.coeffs) == ref, factors
+        e1 = delta.cyclo.exponents().get(1, 0)
+        seen["e1 = 0"] += e1 == 0
+        seen["e1 < 0"] += e1 < 0
+        seen["e1 >= 2"] += e1 >= 2
+        steps = strides(factors)
+        # the first factor always runs at the stride n; count the later ones
+        seen["strided multiplication"] += any(e > 0 and g > 1 for _, e, g in steps[1:])
+        seen["strided division"] += any(e < 0 and g > 1 for _, e, g in steps)
+    assert all(seen.values()), seen
 
 
 def test_palindrome_two_pair():
