@@ -13,6 +13,11 @@ on a residue at ``g`` itself, and on any other ``f = N s + nu`` the split
 applied once per power of ``f``.  Partial fractions are unique, so the
 sum needs no cancellation step: a pole is a factor with a nonzero
 residue, and its order is the highest power whose residue is nonzero.
+The sum runs in integers.  A term is kept over one integer denominator
+``D``, at first its coefficient's denominator times its factors'
+contents, and is multiplied up before each division so that every quotient
+is an exact ``//``.  Terms with equal ``D`` are added in one group, and
+the groups once, over the lcm of their ``D``.
 
 The result is then canonicalized once, in integers, to the stored form
 
@@ -24,7 +29,8 @@ those factors, sorted by ``(N, nu)``, with their pole orders.  Equal
 functions compare equal structurally, which is what the differential
 tests against the resolution-graph oracle rely on; these three fields
 are also what the reports print and serialize, so they stay the stored
-form while partial fractions stay internal to the sum.
+form while partial fractions stay internal to the sum.  Any common
+denominator gives that form: ``num`` is primitive and ``scale`` reduced.
 
 The closed form ``zeta_general`` sums the per-bamboo contributions of an
 annotated tree, with one leaf term ``r / ((N s + nu)(s + 1))`` per face
@@ -118,9 +124,10 @@ def rf_sum(terms) -> RationalFunction:
     """Canonical form of a sum of terms ``(coef, num, den)``, each in the
     format of ``rf``; the terms are added in partial fractions and the
     total is canonicalized once."""
-    poly_part, residues = [], {}
+    groups = {}     # denominator -> [polynomial part, residues] over it
     for coef, num, den in terms:
-        coef, factors = Fraction(coef), []
+        coef = coef if isinstance(coef, int) else Fraction(coef)
+        a, denom, factors = coef.numerator, coef.denominator, []
         for item in den:
             (n, v), e = item if isinstance(item[0], tuple) else (item, 1)
             if (n, v) == (0, 0):
@@ -128,29 +135,47 @@ def rf_sum(terms) -> RationalFunction:
             if e < 0:
                 raise ValueError("denominator exponents must be positive")
             # the content and sign of the factor, or all of it when N = 0,
-            # move into the coefficient
+            # move into the denominator, which may be negative
             g = gcd(n, v) if n > 0 else -gcd(n, v) if n else v
-            coef /= g ** e
+            denom *= g ** e
             if n:
                 factors += [(n // g, v // g)] * e
-        p, res = [coef * c for c in num], {}
+        p, res = [a * c for c in num], {}
         for f in factors:
-            p, res = _divide(p, res, f)
-        poly_part = poly.add(poly_part, p)
+            p, res, denom = _divide(p, res, denom, f)
+        group = groups.setdefault(denom, [[], {}])
+        if p:
+            group[0] = poly.add(group[0], p)
         for key, c in res.items():
-            residues[key] = residues.get(key, 0) + c
-    return _canonical(poly_part, {key: c for key, c in residues.items() if c})
+            group[1][key] = group[1].get(key, 0) + c
+    common = lcm(*groups)
+    poly_part, residues = [], {}
+    for denom, (p, res) in groups.items():
+        k = common // denom
+        poly_part = poly.add(poly_part, [c * k for c in p])
+        for key, c in res.items():
+            residues[key] = residues.get(key, 0) + c * k
+    residues = {key: c for key, c in residues.items() if c}
+    return _canonical(poly_part, residues, common)
 
 
-def _divide(p, res, g):
-    """``p(s) + sum res[f, k] / f^k``, divided by the primitive factor ``g``."""
+def _divide(p, res, denom, g):
+    """``(p(s) + sum res[f, k] / f^k) / denom`` divided by the primitive
+    factor ``g = m s + mu``.  Its parts and ``denom`` are first multiplied
+    by the lcm of ``m^(len(p) - 1)`` and the ``d^k`` below: ``//`` is exact."""
     m, mu = g
-    out = {}
+    scale = m ** (len(p) - 1) if len(p) > 1 else 1
+    for (n, v), k in res:
+        if (n, v) != g:
+            scale = lcm(scale, (n * mu - m * v) ** k)
+    if scale != 1:
+        p = [c * scale for c in p]
+        res = {key: c * scale for key, c in res.items()}
     # synthetic division from the top: p = g q + r
-    q = [0] * (len(p) - 1)
+    q, out = [0] * (len(p) - 1), {}
     r = p[-1] if p else 0
     for i in range(len(p) - 2, -1, -1):
-        q[i] = r / m
+        q[i] = r // m
         r = p[i] - mu * q[i]
     if r:
         out[g, 1] = r
@@ -162,38 +187,37 @@ def _divide(p, res, g):
         n, v = f
         d = n * mu - m * v
         for j in range(k, 0, -1):
-            c /= d
+            c //= d
             out[f, j] = out.get((f, j), 0) + c * n
             c *= -m
         out[g, 1] = out.get((g, 1), 0) + c
-    return q, out
+    return q, out, denom * scale
 
 
-def _canonical(poly_part, residues) -> RationalFunction:
-    """``(scale, num, den)`` of a sum in partial fractions, in integers.
-    With the coefficients cleared of their denominators, ``num / D``
-    starts at ``p / 1`` and takes in one factor ``f`` of pole order ``e``
-    at a time as ``(num f^e + D sum_k c_k f^(e - k)) / (D f^e)``; the
-    numerator is then cleared of its content."""
+def _canonical(poly_part, residues, denominator) -> RationalFunction:
+    """``(scale, num, den)`` of a sum in partial fractions whose integer
+    coefficients are all over ``denominator``.  ``num / D`` starts at
+    ``p / 1`` and takes in one factor ``f`` of pole order ``e`` at a time
+    as ``(num f^e + D sum_k c_k f^(e - k)) / (D f^e)``; the numerator is
+    then cleared of its content."""
     if not poly_part and not residues:
         return ZERO
     orders = {}
     for f, k in residues:
         orders[f] = max(orders.get(f, 0), k)
     den = sorted(orders.items())
-    q = lcm(*(c.denominator for c in (*poly_part, *residues.values())))
-    num, full = [int(c * q) for c in poly_part], [1]
+    num, full = poly_part, [1]
     for (n, v), e in den:
         power, inner = [1], []
         for k in range(1, e + 1):       # f^e, and Horner in f over c_1 .. c_e
             power = poly.mul(power, [v, n])
             c = residues.get(((n, v), k), 0)
-            inner = poly.add(poly.mul(inner, [v, n]), [int(c * q)])
+            inner = poly.add(poly.mul(inner, [v, n]), [c])
         num = poly.add(poly.mul(num, power), poly.mul(inner, full))
         full = poly.mul(full, power)
     content = gcd(*num) if num[-1] > 0 else -gcd(*num)
-    return RationalFunction(Fraction(content, q), tuple(c // content for c in num),
-                            tuple(den))
+    return RationalFunction(Fraction(content, denominator),
+                            tuple(c // content for c in num), tuple(den))
 
 
 class Pole(NamedTuple):

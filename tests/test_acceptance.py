@@ -6,10 +6,12 @@ up to 3 faces per bamboo, entries <= 9) plus the golden instances; the
 face corpus is 200 seeded random nondegenerate face lists with all
 entries at least two, plus the constructed double-pole instance.  The
 checks that need no resolution graph (Z(0) = 1, Kouchnirenko's Milnor
-number) also run on 2000 seeded face lists with entries 1..9.
+number) also run on 2000 seeded face lists with entries 1..9, and so
+does the one that reads the poles off the graph's rupture divisors.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -39,6 +41,7 @@ EXPANSION_CAP = 2500
 CUSP = Bamboo((Face(2, 3, (LEAF,)),))
 TWO_PAIR = Bamboo((Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)),)),))
 ORDER_TWO_SPECS = [(3, 2, 1), (2, 3, 1)]
+CANCELLED_SPECS = [(2, 3, 1), (1, 2, 1)]
 
 
 @dataclass
@@ -134,6 +137,16 @@ def kouchnirenko(specs):
         twice_area += r * b * (2 * y - r * a)
         x, y = x + r * b, y - r * a
     return twice_area - x - top + 1
+
+
+def rupture_poles(graph):
+    """-1 and the -nu/N of every exceptional curve that meets at least
+    three other components, branches included: the poles of a plane
+    curve's local topological zeta function (Veys, Manuscripta Math. 87
+    (1995)), read off the graph with no zeta sum."""
+    degree = Counter(i for edge in graph.edges for i in edge)
+    return {Fraction(-1)} | {Fraction(-n.nu, n.mult) for i, n in enumerate(graph.nodes)
+                             if n.kind == "exceptional" and degree[i] >= 3}
 
 
 def test_criterion_01_cusp_golden():
@@ -300,3 +313,14 @@ def test_criterion_12_kouchnirenko_milnor_number(face_corpus, unit_face_lists):
         delta = characteristic_poly(monodromy_zeta(annotate_faces(specs)), max_degree=0)
         assert delta.mu == kouchnirenko(specs), specs
     print(f"criterion 12 PASS  deg delta = Kouchnirenko's number on {len(lists)} face lists")
+
+
+def test_criterion_13_poles_from_rupture_divisors(tree_corpus, face_corpus, unit_face_lists):
+    for inst in tree_corpus + face_corpus:
+        assert {p.value for p in poles(inst.zeta)} == rupture_poles(inst.graph)
+    for specs in unit_face_lists + [CANCELLED_SPECS]:
+        tree = annotate_faces(specs)
+        assert {p.value for p in poles(zeta_general(tree))} == \
+            rupture_poles(build_graph(tree)), specs
+    total = len(tree_corpus) + len(face_corpus) + len(unit_face_lists) + 1
+    print(f"criterion 13 PASS  poles = -1 and the rupture divisors' -nu/N on {total} instances")

@@ -32,11 +32,16 @@ def value(z, s):
     return out
 
 
+def factors(den):
+    """``den`` of a term as ``((N, nu), exp)`` pairs."""
+    return [item if isinstance(item[0], tuple) else (item, 1) for item in den]
+
+
 def term_value(coef, num, den, s):
-    out = coef * sum(c * s ** i for i, c in enumerate(num))
-    for n, v in den:
-        out /= n * s + v
-    return Fraction(out)
+    out = Fraction(coef) * sum(c * s ** i for i, c in enumerate(num))
+    for (n, v), e in factors(den):
+        out /= (n * s + v) ** e
+    return out
 
 
 def test_rf_add_same_denominator():
@@ -83,10 +88,16 @@ def test_pole_order_is_the_highest_surviving_power():
 
 
 def small_terms():
-    factor = st.tuples(st.integers(0, 4), st.integers(1, 4))
+    # Fraction coefficients, N of either sign or zero, factors with a
+    # content (such as (6, 4)), explicit powers, and numerators of degree
+    # up to 4: every way a term's denominator is multiplied up in the sum
+    primitive = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+        lambda f: f != (0, 0))
+    linear = st.builds(lambda f, c: (f[0] * c, f[1] * c), primitive, st.integers(1, 3))
+    factor = linear | st.tuples(linear, st.integers(0, 3))
     return st.tuples(
-        st.integers(-4, 4),
-        st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple),
+        st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=5).map(tuple),
         st.lists(factor, max_size=3),
     )
 
@@ -102,7 +113,8 @@ def test_rf_ring_laws(terms, rnd, cut):
     rnd.shuffle(shuffled)
     assert rf_sum(shuffled) == z
     assert rf_sum([term(rf_sum(terms[:cut])), term(rf_sum(terms[cut:]))]) == z
-    for s in (Fraction(1, 7), Fraction(2, 3), Fraction(5, 2), Fraction(3)):
+    roots = {Fraction(-v, n) for _, _, den in terms for (n, v), _ in factors(den) if n}
+    for s in {Fraction(1, 7), Fraction(2, 3), Fraction(5, 2), Fraction(3)} - roots:
         assert value(z, s) == sum(term_value(*t, s) for t in terms)
     # canonical: primitive numerator with positive leading coefficient,
     # sorted primitive factors, none of them a root of the numerator
