@@ -382,7 +382,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
                 return EXIT_INVALID
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:       # bad syntax or encoding, or past the digit limit
                 print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
                 return EXIT_INVALID
             except RecursionError:

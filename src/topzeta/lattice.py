@@ -9,17 +9,20 @@ neighbours, frames included, spans a cone of determinant one (the cone is
 then generated by a lattice basis, so the corresponding toric chart is
 smooth).
 
-The refinement routine inserts, between two rays ``U < V``, exactly the
-primitive generators lying on the compact boundary of the convex hull of the
-nonzero lattice points of the cone they span.  This is the unique minimal
-way to reach determinant one everywhere, and it is the construction the
-rest of the package treats as canonical.
+The minimal regular subdivision through given rays is their Stern-Brocot
+closure: the rays with all their ancestors (Oda, *Convex Bodies and
+Algebraic Geometry* (1988) 1.6).  A ray ``w = (a, b)`` off the frames has
+the parents ``l < w < r``, ``l + r = w``, ``det(l, w) = det(w, r) = 1``:
+``l.b`` is the inverse of ``-a`` mod ``b``, ``r.a`` that of ``-b`` mod ``a``.
+The closure is regular, each ray splitting the cone of its parents into two
+cones of determinant one; it is minimal, since in a regular subdivision the
+ray of greatest ``a + b`` is the sum of its neighbours, its parents.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd
 
 # The most exceptional divisors one resolution graph may have, and so the
@@ -94,42 +97,11 @@ class TooManyRays(ValueError):
 
 
 def minimal_regular_refinement(u: PrimitiveVector, v: PrimitiveVector):
-    """Hull generators strictly between u and v.
-
-    Returns the slope-increasing list W_1 < ... < W_r with all consecutive
-    determinants along u, W_1, ..., W_r, v equal to one; empty exactly when
-    det(u, v) = 1.  Each step inserts the hull neighbour of u: among the
-    lattice points W of the open cone with det(u, W) = 1, the one with the
-    least det(W, v).  Writing W = (p*u + v)/d for d = det(u, v), that W is
-    picked by the unique p in 1..d-1 making the division integral.  As
-    det(u, v) = 0 mod d and u is primitive, v = c*u mod d, and Bezout
-    coefficients x*u.a + y*u.b = 1 read off c = x*v.a + y*v.b, so p = -c.
-    """
-    return list(_hull_generators(u, v))
-
-
-def _hull_generators(u, v):
-    """The generators of minimal_regular_refinement, one at a time."""
-    d = det(u, v)
-    if d <= 0:
-        raise ValueError(f"rays {u}, {v} do not span a cone: det = {d}")
-    while d > 1:
-        x, y = _bezout(u.a, u.b)
-        p = -(x * v.a + y * v.b) % d
-        if (p * u.a + v.a) % d or (p * u.b + v.b) % d:
-            raise AssertionError("no integral hull neighbour; u not primitive?")
-        u = PrimitiveVector((p * u.a + v.a) // d, (p * u.b + v.b) // d)
-        yield u
-        d = det(u, v)
-
-
-def _bezout(a, b):
-    """(x, y) with x*a + y*b = gcd(a, b), by the extended Euclidean algorithm."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
-    return x0, y0
+    """The closure rays strictly between u < v: the slope-increasing list
+    W_1 < ... < W_r with all consecutive determinants along u, W_1, ...,
+    W_r, v equal to one, empty exactly when det(u, v) = 1.  Raises
+    TooManyRays(v) past MAX_DIVISORS rays."""
+    return _regularize([u, v])
 
 
 def admissible_subdivision(principal) -> Subdivision:
@@ -146,7 +118,7 @@ def admissible_subdivision(principal) -> Subdivision:
     for p, q in zip(principal, principal[1:]):
         if not slope_less(p, q):
             raise ValueError(f"rays out of slope order: {p} before {q}")
-    return _regularize([X_FRAME, *principal, Y_FRAME])
+    return Subdivision(_regularize([X_FRAME, *principal, Y_FRAME]))
 
 
 def insert_rays(sub: Subdivision, extra) -> Subdivision:
@@ -158,28 +130,51 @@ def insert_rays(sub: Subdivision, extra) -> Subdivision:
     """
     rays = [X_FRAME, *sub.vectors, Y_FRAME]
     for w in extra:
-        for idx, r in enumerate(rays):
-            d = det(r, w)
-            if d == 0:
-                raise ValueError(f"ray {w} already present")
-            if d < 0:
-                rays.insert(idx, w)
-                break
-        else:
-            rays.append(w)
-    return _regularize(rays)
+        i = bisect_left(rays, w)
+        if rays[i] == w:
+            raise ValueError(f"ray {w} already present")
+        rays.insert(i, w)
+    return Subdivision(_regularize(rays))
 
 
-def _regularize(rays) -> Subdivision:
-    """The subdivision through the slope-increasing ``rays``, frames
-    included, with every gap filled by its hull generators; raises
-    TooManyRays before it holds more than MAX_DIVISORS of them."""
-    vectors = []
+def _regularize(rays) -> list:
+    """The rays of the closure of the slope-increasing ``rays`` strictly
+    between the first and the last; raises TooManyRays(v) past
+    MAX_DIVISORS of them, v the end of the cone being filled.
+
+    A cone u < v gets u's right parents while they are below v, which ends
+    at the common ancestor, then v's left parents, reversed, down to a
+    neighbour of the last ray taken.  Every closure ray between those two
+    is an ancestor of v, so no left parent needs a test against u.  Each
+    walk stops once d, the determinant of the pair it is at, is one.
+    """
+    out = []
     for u, v in zip(rays, rays[1:]):
-        room = MAX_DIVISORS + 1 - len(vectors)
-        vectors.extend(islice(_hull_generators(u, v), room))
-        if v is not Y_FRAME:
-            vectors.append(v)
-        if len(vectors) > MAX_DIVISORS:
+        d = det(u, v)
+        if d <= 0:
+            raise ValueError(f"rays {u}, {v} do not span a cone: det = {d}")
+        while d > 1:
+            a = pow(-u.b, -1, u.a)          # u's right parent (a, b)
+            b = (1 + u.b * a) // u.a
+            if a * v.b - b * v.a <= 0:      # not below v
+                break
+            u = PrimitiveVector(a, b)
+            out.append(u)
+            if len(out) > MAX_DIVISORS:
+                raise TooManyRays(v)
+            d = det(u, v)
+        if d > 1:
+            top, hi = len(out), v
+            while d > 1:
+                b = pow(-hi.a, -1, hi.b)        # hi's left parent
+                hi = PrimitiveVector((1 + hi.a * b) // hi.b, b)
+                out.append(hi)
+                if len(out) > MAX_DIVISORS:
+                    raise TooManyRays(v)
+                d = det(u, hi)
+            out[top:] = reversed(out[top:])
+        if v is not rays[-1]:
+            out.append(v)
+        if len(out) > MAX_DIVISORS:
             raise TooManyRays(v)
-    return Subdivision(tuple(vectors))
+    return out

@@ -61,7 +61,10 @@ def parse_poly(text: str) -> dict:
             j += 1
         if j == start:
             raise ParseError("expected digits", start)
-        return int(text[start:j]), j
+        try:
+            return int(text[start:j]), j
+        except ValueError:      # past Python's digit limit, or a digit int() refuses
+            raise ParseError(f"cannot read the {j - start}-digit integer", start) from None
 
     i = skip_ws(i)
     if i == n:

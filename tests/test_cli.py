@@ -128,7 +128,7 @@ def test_tree_command_rejects_integer_literals_past_the_digit_limit(tmp_path, ca
     path.write_text('{"faces": [{"a": 2, "b": 1%s1, "classes": ["leaf"]}]}' % ("0" * 4400))
     assert main(["tree", str(path)]) == EXIT_INVALID
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.out == "" and captured.err.startswith(f"error: {path} is not valid JSON")
 
 
 def test_deep_chain_oracle_in_time():
@@ -192,6 +192,15 @@ def test_poly_command_degenerate(capsys):
 
 def test_poly_command_parse_error(capsys):
     assert main(["poly", "x^2 + ("]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("expr", ["x^%s + y^2" % ("1" * 5000), "x^\u00b2 + y^2"],
+                         ids=["past-the-digit-limit", "superscript-digit"])
+def test_poly_command_points_at_an_unreadable_integer(capsys, expr):
+    assert main(["poly", expr]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot read the ")
+    assert captured.err.endswith("-digit integer at index 2\n")
 
 
 def test_poly_higher_terms_do_not_matter():

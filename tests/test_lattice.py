@@ -264,3 +264,50 @@ def test_insert_rays_re_regularizes():
 def test_subdivision_regularity_enforced():
     with pytest.raises(ValueError):
         Subdivision((pv(2, 3),))   # det((1,0),(2,3)) = 3
+
+
+# --- the minimal regular subdivision is the Stern-Brocot closure ------------
+
+def stern_brocot_closure(rays):
+    """Every Stern-Brocot ancestor of the given rays, themselves included and
+    frames excluded, in slope order: each ray is found by mediant descent
+    from the frames, and every mediant on the way is kept."""
+    closure = set()
+    for w in rays:
+        lo, hi = (1, 0), (0, 1)
+        while True:
+            m = (lo[0] + hi[0], lo[1] + hi[1])
+            closure.add(m)
+            side = m[0] * w.b - m[1] * w.a
+            if side == 0:
+                break
+            if side > 0:
+                lo = m
+            else:
+                hi = m
+    return tuple(pv(a, b) for a, b in sorted(closure, key=lambda m: Fraction(m[1], m[0])))
+
+
+def test_subdivisions_are_the_stern_brocot_closure():
+    # 1-6 rays per set, coordinates up to 5, 20, 200 or 3000, a = 1 and
+    # b = 1 allowed; each subdivision also gets one more ray inserted
+    rng = random.Random(8)
+    inserted = 0
+    for cap in (5, 20, 200, 3000):
+        for _ in range(100):
+            rays = set()
+            while len(rays) < rng.randint(1, 6):
+                a, b = rng.randint(1, cap), rng.randint(1, cap)
+                if gcd(a, b) == 1:
+                    rays.add((a, b))
+            principal = sorted((pv(a, b) for a, b in rays),
+                               key=lambda p: Fraction(p.b, p.a))
+            sub = admissible_subdivision(principal)
+            assert sub.vectors == stern_brocot_closure(principal), principal
+            a, b = rng.randint(1, cap), rng.randint(1, cap)
+            if gcd(a, b) == 1 and pv(a, b) not in sub.vectors:
+                w = pv(a, b)
+                assert insert_rays(sub, [w]).vectors == \
+                    stern_brocot_closure([*sub.vectors, w]), (principal, w)
+                inserted += 1
+    assert inserted > 150
