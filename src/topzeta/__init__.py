@@ -11,14 +11,14 @@ resolution-graph oracle; all arithmetic is exact.
 
 from .equitree import (AnnotatedBamboo, AnnotatedFace, AnnotatedTree, Bamboo,
                        Diagnostic, Face, LEAF, Leaf, TreeJSONError, annotate,
-                       annotate_faces, class_multiplicity, leaves,
+                       annotate_faces, class_multiplicity,
                        tree_from_json, tree_to_json, validate)
 from .lattice import (PrimitiveVector, Subdivision, admissible_subdivision,
-                      det, insert_rays, minimal_regular_refinement, slope_less)
+                      det, insert_rays, minimal_regular_refinement)
 from .monodromy import (CharPoly, ConjectureReport, CycloProduct,
                         EigenvalueWitness, acampo_from_graph,
-                        characteristic_poly, conjecture_report, is_eigenvalue,
-                        monodromy_zeta, root_multiplicity, verify_conjecture)
+                        characteristic_poly, conjecture_report,
+                        monodromy_zeta, root_multiplicity)
 from .newton import (DegenerateCurveError, DegenerateWitness, NewtonFace,
                      ParseError, newton_faces, nondegeneracy_check,
                      parse_poly, poly_to_str, to_face_specs)

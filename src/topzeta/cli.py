@@ -25,7 +25,6 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -45,62 +44,49 @@ EXIT_DEGENERATE = 3
 EXIT_INCONSISTENT = 4
 
 FUZZ_EXPANSION_CAP = 4000   # palindrome checks only below this degree
+FUZZ_MAX_DEPTH = 3          # nesting levels of a random tree
+FUZZ_MAX_K = 3              # faces per random bamboo: 1..3
+FUZZ_MAX_AB = 9             # face entries: 2..9
 FUZZ_MAX_CLASSES = 3        # branch classes per random face: 1..3
 FUZZ_EXTRA_RAYS = 3         # random rays per bamboo of the refined graph
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    count: int
-    seed: int
-    max_depth: int = 3
-    max_k: int = 3
-    max_ab: int = 9
-
-    def __post_init__(self):
-        for name in ("count", "max_depth", "max_k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.max_ab < 3:
-            raise ValueError("max_ab must be at least 3 to allow a coprime pair")
-
-
-def _random_coprime_pairs(rng, k, max_ab):
+def _random_coprime_pairs(rng, k):
     pairs = set()
     while len(pairs) < k:
-        a = rng.randint(2, max_ab)
-        b = rng.randint(2, max_ab)
+        a = rng.randint(2, FUZZ_MAX_AB)
+        b = rng.randint(2, FUZZ_MAX_AB)
         if gcd(a, b) == 1:
             pairs.add((a, b))
     return sorted(pairs, key=lambda p: Fraction(p[1], p[0]))
 
 
-def random_tree(rng: random.Random, cfg: FuzzConfig, depth: int = 1) -> Bamboo:
-    """Random valid tree; a pure function of the rng state and bounds."""
-    k = rng.randint(1, cfg.max_k)
+def random_tree(rng: random.Random, depth: int = 1) -> Bamboo:
+    """Random valid tree; a pure function of the rng state."""
+    k = rng.randint(1, FUZZ_MAX_K)
     faces = []
-    for a, b in _random_coprime_pairs(rng, k, cfg.max_ab):
+    for a, b in _random_coprime_pairs(rng, k):
         classes = []
         for _ in range(rng.randint(1, FUZZ_MAX_CLASSES)):
             # below the depth bound a class is a leaf with probability 1/2
-            if depth >= cfg.max_depth or rng.randrange(2) == 0:
+            if depth >= FUZZ_MAX_DEPTH or rng.randrange(2) == 0:
                 classes.append(LEAF)
             else:
-                classes.append(random_tree(rng, cfg, depth + 1))
+                classes.append(random_tree(rng, depth + 1))
         faces.append(Face(a, b, tuple(classes)))
     return Bamboo(tuple(faces))
 
 
-def random_face_specs(rng: random.Random, *, max_k=3, max_ab=9, max_r=3):
+def random_face_specs(rng: random.Random):
     """Random nondegenerate face list with both entries at least two.
 
     Faces with a = 1 or b = 1 describe smooth-ish branches whose
     candidate may cancel from the zeta function, so the pole-realization
     corpus stays inside the all-entries >= 2 regime.
     """
-    k = rng.randint(1, max_k)
-    return [(a, b, rng.randint(1, max_r))
-            for a, b in _random_coprime_pairs(rng, k, max_ab)]
+    k = rng.randint(1, FUZZ_MAX_K)
+    return [(a, b, rng.randint(1, FUZZ_MAX_CLASSES))
+            for a, b in _random_coprime_pairs(rng, k)]
 
 
 def tree_hash(spec: Bamboo) -> str:
@@ -270,15 +256,15 @@ def check_instance(spec: Bamboo, *, ray_seed: int = 0) -> dict:
     return checks
 
 
-def run_fuzz(cfg: FuzzConfig, *, json_out: bool = False, out=None) -> int:
+def run_fuzz(count: int, seed: int, *, json_out: bool = False, out=None) -> int:
     out = out if out is not None else sys.stdout
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     records = []
     failures = 0
-    for idx in range(cfg.count):
-        spec = random_tree(rng, cfg)
+    for idx in range(count):
+        spec = random_tree(rng)
         digest = tree_hash(spec)
-        checks = check_instance(spec, ray_seed=cfg.seed * 1_000_003 + idx)
+        checks = check_instance(spec, ray_seed=seed * 1_000_003 + idx)
         ok = all(checks.values())
         if not ok:
             failures += 1
@@ -290,9 +276,9 @@ def run_fuzz(cfg: FuzzConfig, *, json_out: bool = False, out=None) -> int:
         else:
             records.append({"instance": idx, "hash": digest, "ok": True})
     summary = {
-        "count": cfg.count,
-        "seed": cfg.seed,
-        "passed": cfg.count - failures,
+        "count": count,
+        "seed": seed,
+        "passed": count - failures,
         "failed": failures,
         "instances": records,
     }
@@ -306,7 +292,7 @@ def run_fuzz(cfg: FuzzConfig, *, json_out: bool = False, out=None) -> int:
             if not rec["ok"]:
                 bad = [k for k, v in rec["checks"].items() if not v]
                 out.write(f"  failed checks: {', '.join(bad)}  (dumped to {rec['dump']})\n")
-        out.write(f"passed {summary['passed']}/{cfg.count}\n")
+        out.write(f"passed {summary['passed']}/{count}\n")
     return EXIT_OK if failures == 0 else EXIT_INCONSISTENT
 
 
@@ -338,9 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="seeded differential testing")
     p_fuzz.add_argument("--count", type=int, required=True)
     p_fuzz.add_argument("--seed", type=int, required=True)
-    p_fuzz.add_argument("--max-depth", type=int, default=3)
-    p_fuzz.add_argument("--max-k", type=int, default=3)
-    p_fuzz.add_argument("--max-ab", type=int, default=9)
     p_fuzz.add_argument("--json", action="store_true")
     return parser
 
@@ -358,6 +341,15 @@ def _unlimited_digits():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _read_int(literal: str) -> int:
+    """A JSON integer literal, ASCII digits only, which int() refuses only
+    past Python's digit limit: then OverflowError with the digit count."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise OverflowError(len(literal.lstrip("-"))) from None
 
 
 def _render(report, as_json) -> str:
@@ -378,11 +370,15 @@ def main(argv=None) -> int:
         if args.command == "tree":
             try:
                 with open(args.path, encoding="utf-8") as fh:
-                    data = json.load(fh)
+                    data = json.load(fh, parse_int=_read_int)
             except OSError as exc:
                 print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
                 return EXIT_INVALID
-            except ValueError as exc:       # bad syntax or encoding, or past the digit limit
+            except OverflowError as exc:
+                print(f"error: {args.path} holds a {exc.args[0]}-digit integer, past the "
+                      f"limit of {sys.get_int_max_str_digits()} digits", file=sys.stderr)
+                return EXIT_INVALID
+            except ValueError as exc:       # bad syntax or encoding
                 print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
                 return EXIT_INVALID
             except RecursionError:
@@ -404,14 +400,10 @@ def main(argv=None) -> int:
             return code
 
         if args.command == "fuzz":
-            try:
-                cfg = FuzzConfig(count=args.count, seed=args.seed,
-                                 max_depth=args.max_depth, max_k=args.max_k,
-                                 max_ab=args.max_ab)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
+            if args.count < 1:
+                print("error: count must be at least 1", file=sys.stderr)
                 return EXIT_USAGE
-            return run_fuzz(cfg, json_out=args.json)
+            return run_fuzz(args.count, args.seed, json_out=args.json)
 
     except DegenerateCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,24 +125,6 @@ def class_multiplicity(cls: BranchClass) -> int:
     return total
 
 
-def leaves(tree: Bamboo):
-    """All leaf positions as (bamboo path, face index, class index), in
-    depth-first order.  The number of leaves equals the number of
-    irreducible branches of the curve."""
-    out = []
-
-    def walk(bamboo, path):
-        for i, face in enumerate(bamboo.faces):
-            for l, cls in enumerate(face.classes):
-                if isinstance(cls, Leaf):
-                    out.append((path, i, l))
-                else:
-                    walk(cls, path + ((i, l),))
-
-    walk(tree, ())
-    return out
-
-
 @dataclass(frozen=True)
 class AnnotatedFace:
     a: int

@@ -66,11 +66,6 @@ def det(p: PrimitiveVector, q: PrimitiveVector) -> int:
     return p.a * q.b - p.b * q.a
 
 
-def slope_less(p: PrimitiveVector, q: PrimitiveVector) -> bool:
-    """Strict slope order: true iff det(p, q) > 0."""
-    return det(p, q) > 0
-
-
 @dataclass(frozen=True)
 class Subdivision:
     """Regular subdivision of the quadrant, frames (1,0) and (0,1) implicit.
@@ -116,7 +111,7 @@ def admissible_subdivision(principal) -> Subdivision:
         if p.a < 1 or p.b < 1:
             raise ValueError(f"ray {p} lies on the boundary of the quadrant")
     for p, q in zip(principal, principal[1:]):
-        if not slope_less(p, q):
+        if not p < q:
             raise ValueError(f"rays out of slope order: {p} before {q}")
     return Subdivision(_regularize([X_FRAME, *principal, Y_FRAME]))
 

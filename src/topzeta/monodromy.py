@@ -38,7 +38,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .equitree import AnnotatedTree
-from .zeta import RationalFunction, poles, zeta_general
+from .zeta import RationalFunction, poles
 
 DEFAULT_EXPANSION_CAP = 10 ** 6
 
@@ -54,9 +54,6 @@ class CycloProduct:
 
     def exponents(self) -> dict[int, int]:
         return dict(self.factors)
-
-    def is_one(self) -> bool:
-        return not self.factors
 
     def __mul__(self, other: "CycloProduct") -> "CycloProduct":
         exps = self.exponents()
@@ -168,12 +165,8 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
     return CharPoly(cyclo, coeffs, mu)
 
 
-def root_multiplicity(delta, d: int) -> int:
-    """Multiplicity of a primitive d-th root of unity as a root.
-
-    Accepts a CharPoly or a bare CycloProduct.
-    """
-    cyclo = delta.cyclo if isinstance(delta, CharPoly) else delta
+def root_multiplicity(cyclo: CycloProduct, d: int) -> int:
+    """Multiplicity of a primitive d-th root of unity as a root."""
     return sum(e for n, e in cyclo.factors if n % d == 0)
 
 
@@ -201,11 +194,6 @@ def eigenvalue_witness(delta_cyclo: CycloProduct, theta) -> EigenvalueWitness:
     return EigenvalueWitness(m >= 1, d, m, contrib, "H1")
 
 
-def is_eigenvalue(tree: AnnotatedTree, theta) -> EigenvalueWitness:
-    delta = characteristic_poly(monodromy_zeta(tree), max_degree=0)
-    return eigenvalue_witness(delta.cyclo, theta)
-
-
 class PoleCheck(NamedTuple):
     value: Fraction
     order: int
@@ -229,12 +217,3 @@ def conjecture_report(zeta: RationalFunction, delta_cyclo: CycloProduct) -> Conj
     verdict = "holds" if all(c.witness.ok for c in checks) else "fails"
     return ConjectureReport(verdict, checks)
 
-
-def verify_conjecture(tree: AnnotatedTree, *, zeta: RationalFunction | None = None) -> ConjectureReport:
-    """Check that every pole of the zeta function exponentiates to a
-    monodromy eigenvalue.  Any "fails" verdict signals a defect, not
-    mathematics: the statement is a theorem for plane curves."""
-    if zeta is None:
-        zeta = zeta_general(tree)
-    delta = characteristic_poly(monodromy_zeta(tree), max_degree=0)
-    return conjecture_report(zeta, delta.cyclo)

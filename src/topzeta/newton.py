@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import poly
-from .lattice import PrimitiveVector, slope_less
+from .lattice import PrimitiveVector
 
 
 class ParseError(ValueError):
@@ -205,7 +205,7 @@ def newton_faces(p: dict) -> list[NewtonFace]:
         assert coeffs[0] != 0 and coeffs[-1] != 0
         faces.append(NewtonFace(normal, points, coeffs))
     for f1, f2 in zip(faces, faces[1:]):
-        assert slope_less(f1.normal, f2.normal)
+        assert f1.normal < f2.normal
     return faces
 
 

@@ -56,11 +56,8 @@ class RationalFunction:
     num: tuple[int, ...]
     den: tuple[tuple[tuple[int, int], int], ...]   # ((N, nu), exponent)
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __str__(self):
-        if self.is_zero():
+        if not self.num:
             return "0"
         parts = []
         if self.scale == -1 and self.num != (1,):

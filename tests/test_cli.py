@@ -7,7 +7,7 @@ import pytest
 
 from topzeta import cli
 from topzeta.cli import (EXIT_DEGENERATE, EXIT_INCONSISTENT, EXIT_INVALID,
-                         EXIT_OK, EXIT_USAGE, FuzzConfig, analyze_poly,
+                         EXIT_OK, EXIT_USAGE, analyze_poly,
                          analyze_tree, check_instance, main, random_face_specs,
                          random_tree, render_report, tree_hash)
 from topzeta.equitree import (Bamboo, Face, LEAF, annotate, tree_from_json,
@@ -128,7 +128,10 @@ def test_tree_command_rejects_integer_literals_past_the_digit_limit(tmp_path, ca
     path.write_text('{"faces": [{"a": 2, "b": 1%s1, "classes": ["leaf"]}]}' % ("0" * 4400))
     assert main(["tree", str(path)]) == EXIT_INVALID
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"error: {path} is not valid JSON")
+    assert captured.out == ""
+    assert captured.err == (f"error: {path} holds a 4402-digit integer, past the limit of "
+                            f"{sys.get_int_max_str_digits()} digits\n")
+    assert "set_int_max_str_digits" not in captured.err
 
 
 def test_deep_chain_oracle_in_time():
@@ -236,9 +239,8 @@ def test_fuzz_json_summary(capsys, tmp_path, monkeypatch):
 
 
 def test_random_tree_is_valid_and_reproducible():
-    cfg = FuzzConfig(count=1, seed=0)
-    t1 = random_tree(random.Random(99), cfg)
-    t2 = random_tree(random.Random(99), cfg)
+    t1 = random_tree(random.Random(99))
+    t2 = random_tree(random.Random(99))
     assert t1 == t2
     assert validate(t1) == []
     assert tree_hash(t1) == tree_hash(t2)

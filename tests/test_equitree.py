@@ -3,7 +3,7 @@ import json
 import pytest
 
 from topzeta.equitree import (Bamboo, Face, LEAF, TreeJSONError, annotate,
-                              annotate_faces, class_multiplicity, leaves,
+                              annotate_faces, class_multiplicity,
                               tree_from_json, tree_to_json, validate)
 
 CUSP = Bamboo((Face(2, 3, (LEAF,)),))
@@ -117,12 +117,6 @@ def test_annotate_faces_allows_unit_entries():
 def test_annotate_faces_rejects_bad_lists(faces):
     with pytest.raises(ValueError):
         annotate_faces(faces)
-
-
-def test_leaves():
-    assert leaves(CUSP) == [((), 0, 0)]
-    assert leaves(Bamboo((Face(2, 3, (LEAF, LEAF)),))) == [((), 0, 0), ((), 0, 1)]
-    assert leaves(TWO_PAIR) == [(((0, 0),), 0, 0)]
 
 
 def test_json_roundtrip():

@@ -8,11 +8,12 @@ polynomial whose candidate pole cancels, one with a double pole, one
 with a smooth ``(1, 1)`` face, and two whose characteristic polynomial
 is expanded at a stride > 1: ``x^12 + y^12``, all on multiples of 12
 until ``(1 - t)`` runs last, and ``y^3 - x^10``, which divides at stride
-3 before ``(1 - t)``; and ``y^3 - x^1001`` with ``--oracle``, one face
-whose graph sum runs over 337 divisors.  A change that means to keep the output
-must leave them as they are; one that means to change it regenerates
-them with ``PYTHONPATH=src python tests/test_golden.py`` and shows the
-difference.
+3 before ``(1 - t)``; ``y^3 - x^1001`` with ``--oracle``, one face
+whose graph sum runs over 337 divisors; and ``fuzz --count 20 --seed 7``,
+which pins the random tree generator and the hash of each tree it makes.
+A change that means to keep the output must leave them as they are; one
+that means to change it regenerates them with
+``PYTHONPATH=src python tests/test_golden.py`` and shows the difference.
 """
 
 import contextlib
@@ -38,6 +39,7 @@ CASES = {
     "fermat12": ["poly", "x^12 + y^12"],
     "stride-division": ["poly", "y^3 - x^10"],
     "deep-face-oracle": ["poly", "y^3 - x^1001", "--oracle"],
+    "fuzz-seed7": ["fuzz", "--count", "20", "--seed", "7"],
 }
 
 

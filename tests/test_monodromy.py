@@ -8,10 +8,11 @@ import pytest
 from topzeta import poly
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.monodromy import (CycloProduct, acampo_from_graph,
-                               characteristic_poly, eigenvalue_witness,
-                               is_eigenvalue, monodromy_zeta,
-                               root_multiplicity, verify_conjecture)
+                               characteristic_poly, conjecture_report,
+                               eigenvalue_witness, monodromy_zeta,
+                               root_multiplicity)
 from topzeta.resolution import build_graph, build_graph_nondegenerate
+from topzeta.zeta import zeta_general
 
 
 def annotated(*faces):
@@ -24,6 +25,10 @@ TWO_PAIR = annotated(Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)),)))
 
 def cyclo(mapping):
     return CycloProduct.from_exponents(mapping)
+
+
+def delta_cyclo(tree):
+    return characteristic_poly(monodromy_zeta(tree), max_degree=0).cyclo
 
 
 def test_monodromy_zeta_cusp():
@@ -193,33 +198,32 @@ def test_palindrome_two_pair():
 
 def test_root_multiplicity_cusp():
     delta = characteristic_poly(monodromy_zeta(CUSP))
-    assert root_multiplicity(delta, 6) == 1
-    assert root_multiplicity(delta, 2) == 0
-    assert root_multiplicity(delta, 1) == 0   # delta(1) != 0
+    assert root_multiplicity(delta.cyclo, 6) == 1
+    assert root_multiplicity(delta.cyclo, 2) == 0
+    assert root_multiplicity(delta.cyclo, 1) == 0   # delta(1) != 0
     assert delta.coeffs[0] + delta.coeffs[1] + delta.coeffs[2] == 1
 
 
 def test_root_multiplicity_d1_is_exponent_sum():
     delta = characteristic_poly(monodromy_zeta(TWO_PAIR))
-    assert root_multiplicity(delta, 1) == sum(e for _, e in delta.cyclo.factors)
+    assert root_multiplicity(delta.cyclo, 1) == sum(e for _, e in delta.cyclo.factors)
 
 
 def test_is_eigenvalue_cusp():
-    assert is_eigenvalue(CUSP, Fraction(-5, 6)).ok
-    w = is_eigenvalue(CUSP, Fraction(-1))
+    assert eigenvalue_witness(delta_cyclo(CUSP), Fraction(-5, 6)).ok
+    w = eigenvalue_witness(delta_cyclo(CUSP), Fraction(-1))
     assert w.ok and w.via == "H0"
-    w = is_eigenvalue(CUSP, Fraction(-1, 2))
+    w = eigenvalue_witness(delta_cyclo(CUSP), Fraction(-1, 2))
     assert not w.ok and w.root_order == 2 and w.multiplicity == 0
 
 
 def test_eigenvalue_witness_contributions():
-    delta = characteristic_poly(monodromy_zeta(CUSP), max_degree=0)
-    w = eigenvalue_witness(delta.cyclo, Fraction(-5, 6))
+    w = eigenvalue_witness(delta_cyclo(CUSP), Fraction(-5, 6))
     assert w.contributions == ((6, 1),)
 
 
 def test_verify_conjecture_cusp():
-    report = verify_conjecture(CUSP)
+    report = conjecture_report(zeta_general(CUSP), delta_cyclo(CUSP))
     assert report.verdict == "holds"
     assert [c.value for c in report.checks] == [Fraction(-1), Fraction(-5, 6)]
     assert report.checks[0].witness.via == "H0"
@@ -227,7 +231,7 @@ def test_verify_conjecture_cusp():
 
 
 def test_verify_conjecture_two_pair():
-    report = verify_conjecture(TWO_PAIR)
+    report = conjecture_report(zeta_general(TWO_PAIR), delta_cyclo(TWO_PAIR))
     assert report.holds()
     orders = {c.value: c.witness.root_order for c in report.checks}
     assert orders[Fraction(-5, 12)] == 12
@@ -241,7 +245,7 @@ def test_acampo_cusp_graph():
 
 def test_acampo_node_graph():
     graph = build_graph_nondegenerate([(1, 1, 2)])
-    assert acampo_from_graph(graph).is_one()
+    assert acampo_from_graph(graph) == cyclo({})
     delta = characteristic_poly(acampo_from_graph(graph))
     assert delta.coeffs == (1, -1) and delta.mu == 1
 
@@ -282,5 +286,5 @@ def test_middle_faces_always_contribute_eigenvalues():
         delta = characteristic_poly(acampo_from_graph(graph), max_degree=0)
         for i in range(1, len(specs) - 1):
             n, nu = weights[i]
-            assert root_multiplicity(delta, n // gcd(n, nu)) >= 1
+            assert root_multiplicity(delta.cyclo, n // gcd(n, nu)) >= 1
             checked += 1

@@ -1,0 +1,52 @@
+"""The benchmark's hooks into topzeta: every function it traces or records exists.
+
+``perfbench/spans.py`` rebinds, by name, each function that ``TRACED``
+lists for a topzeta module, and ``perfbench/checks.py`` records the calls
+that ``FUZZ_RECORDED`` names on ``topzeta.cli``.  Deleting one of those
+functions would break ``perfbench/run.py --trace 1`` or the fuzz value
+checks only when the benchmark runs; these tests see it first.  Both
+files are imported without writing bytecode next to them.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from topzeta import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    saved_path, saved_modules = list(sys.path), set(sys.modules)
+    dont_write = sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        modules = {name: importlib.import_module(name) for name in ("spans", "checks")}
+        for mod in modules.values():
+            assert Path(mod.__file__).parent == PERFBENCH
+        yield modules
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = dont_write
+        for name in set(sys.modules) - saved_modules:
+            if Path(getattr(sys.modules[name], "__file__", None) or "").parent == PERFBENCH:
+                del sys.modules[name]
+
+
+def test_every_traced_function_exists(perfbench):
+    missing = [f"topzeta.{module}.{name}"
+               for module, functions in perfbench["spans"].TRACED.items()
+               for name in functions
+               if not callable(getattr(importlib.import_module(f"topzeta.{module}"), name, None))]
+    assert missing == []
+
+
+def test_every_recorded_fuzz_function_exists(perfbench):
+    missing = [name for name in perfbench["checks"].FUZZ_RECORDED
+               if not callable(getattr(cli, name, None))]
+    assert missing == []
