@@ -15,19 +15,16 @@ from .equitree import (AnnotatedBamboo, AnnotatedFace, AnnotatedTree, Bamboo,
                        tree_from_json, tree_to_json, validate)
 from .lattice import (PrimitiveVector, Subdivision, admissible_subdivision,
                       det, insert_rays, minimal_regular_refinement)
-from .monodromy import (CharPoly, ConjectureReport, CycloProduct,
-                        EigenvalueWitness, acampo_from_graph,
-                        characteristic_poly, conjecture_report,
-                        monodromy_zeta, root_multiplicity)
+from .monodromy import (CharPoly, CycloProduct, EigenvalueWitness, PoleCheck,
+                        acampo_from_graph, characteristic_poly,
+                        conjecture_report, monodromy_zeta, root_multiplicity)
 from .newton import (DegenerateCurveError, DegenerateWitness, NewtonFace,
                      ParseError, newton_faces, nondegeneracy_check,
                      parse_poly, poly_to_str, to_face_specs)
 from .resolution import (ChainViolation, DivisorNode, ResolutionGraph,
                          build_graph, build_graph_nondegenerate,
-                         chain_determinant_check, definitional_zeta,
-                         euler_characteristic_total)
-from .zeta import (Candidate, Pole, RationalFunction, candidate_poles,
-                   is_order_two_candidate, poles, rf, rf_sum, zeta_general,
-                   zeta_nondegenerate)
+                         chain_determinant_check, definitional_zeta)
+from .zeta import (Candidate, Pole, RationalFunction, candidate_poles, poles,
+                   rf, rf_sum, zeta_general, zeta_nondegenerate)
 
 __version__ = "0.1.0"

@@ -28,12 +28,12 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .equitree import (Bamboo, Face, LEAF, TreeJSONError, annotate,
-                       annotate_faces, tree_from_json, tree_to_json, validate)
+from .equitree import (Bamboo, Face, LEAF, annotate, annotate_faces,
+                       tree_from_json, tree_to_json, validate)
 from .monodromy import (CycloProduct, acampo_from_graph, characteristic_poly,
                         conjecture_report, monodromy_zeta)
-from .newton import (DegenerateCurveError, ParseError, newton_faces,
-                     parse_poly, poly_to_str, to_face_specs)
+from .newton import (DegenerateCurveError, newton_faces, parse_poly,
+                     poly_to_str, to_face_specs)
 from .resolution import build_graph, chain_determinant_check, definitional_zeta
 from .zeta import RationalFunction, candidate_poles, poles, poly_str, zeta_general
 
@@ -77,18 +77,6 @@ def random_tree(rng: random.Random, depth: int = 1) -> Bamboo:
     return Bamboo(tuple(faces))
 
 
-def random_face_specs(rng: random.Random):
-    """Random nondegenerate face list with both entries at least two.
-
-    Faces with a = 1 or b = 1 describe smooth-ish branches whose
-    candidate may cancel from the zeta function, so the pole-realization
-    corpus stays inside the all-entries >= 2 regime.
-    """
-    k = rng.randint(1, FUZZ_MAX_K)
-    return [(a, b, rng.randint(1, FUZZ_MAX_CLASSES))
-            for a, b in _random_coprime_pairs(rng, k)]
-
-
 def tree_hash(spec: Bamboo) -> str:
     blob = json.dumps(tree_to_json(spec), separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -112,21 +100,22 @@ def _pole_entries(ps, candidates):
     return out
 
 
-def _conjecture_json(report):
+def _conjecture_json(checks):
     entries = []
-    for value, order, w in report.checks:
+    for value, order, w in checks:
         entry = {
             "value": str(value),
             "pole_order": order,
             "eigenvalue": w.ok,
             "root_order": w.root_order,
-            "via": w.via,
+            "via": "H0" if w.root_order == 1 else "H1",
         }
-        if w.via == "H1":
+        if w.root_order != 1:
             entry["multiplicity"] = w.multiplicity
             entry["exponents"] = [n for n, _ in w.contributions]
         entries.append(entry)
-    return {"verdict": report.verdict, "poles": entries}
+    return {"verdict": "holds" if all(w.ok for *_, w in checks) else "fails",
+            "poles": entries}
 
 
 def analyze_tree(spec: Bamboo, *, oracle: bool = False):
@@ -150,7 +139,6 @@ def _analyze(annotated, inp: dict, oracle: bool):
     z = zeta_general(annotated)
     zm = monodromy_zeta(annotated)
     delta = characteristic_poly(zm)
-    conj = conjecture_report(z, delta.cyclo)
     with _unlimited_digits():
         report = {
             "input": inp,
@@ -159,9 +147,9 @@ def _analyze(annotated, inp: dict, oracle: bool):
             "monodromy_zeta": zm.to_json_list(),
             "delta": delta.to_json_dict(),
             "milnor_number": delta.mu,
-            "conjecture": _conjecture_json(conj),
+            "conjecture": _conjecture_json(conjecture_report(z, delta.cyclo)),
         }
-    code = EXIT_OK if conj.holds() else EXIT_INCONSISTENT
+    code = EXIT_OK if report["conjecture"]["verdict"] == "holds" else EXIT_INCONSISTENT
     if oracle:
         graph = build_graph(annotated)
         problems = []
@@ -252,12 +240,13 @@ def check_instance(spec: Bamboo, *, ray_seed: int = 0) -> dict:
     cand_values = {c.value for c in candidate_poles(annotated)}
     checks["pole_containment"] = all(p.value in cand_values for p in poles(z))
     # without a polynomial there are no eigenvalues to check the poles against
-    checks["conjecture"] = delta is not None and conjecture_report(z, delta.cyclo).holds()
+    checks["conjecture"] = delta is not None and all(
+        c.witness.ok for c in conjecture_report(z, delta.cyclo))
     return checks
 
 
-def run_fuzz(count: int, seed: int, *, json_out: bool = False, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def run_fuzz(count: int, seed: int, *, json_out: bool = False) -> int:
+    out = sys.stdout
     rng = random.Random(seed)
     records = []
     failures = 0
@@ -408,10 +397,7 @@ def main(argv=None) -> int:
     except DegenerateCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (TreeJSONError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:       # TreeJSONError, ParseError and every other bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     raise AssertionError("unreachable")

@@ -80,7 +80,8 @@ def validate(tree: Bamboo) -> list[Diagnostic]:
     return out
 
 
-def _validate_bamboo(bamboo, path, out):
+def _validate_bamboo(bamboo, path, out, least=2):
+    """Append to ``out`` what is wrong: a, b >= least here, >= 2 in sub-bamboos."""
     if not isinstance(bamboo, Bamboo):
         out.append(Diagnostic(path or "/", "not a bamboo"))
         return
@@ -96,10 +97,10 @@ def _validate_bamboo(bamboo, path, out):
         if not (isinstance(face.a, int) and isinstance(face.b, int)):
             out.append(Diagnostic(fpath, "a and b must be integers"))
             continue
-        if face.a < 2:
-            out.append(Diagnostic(fpath, "a < 2"))
-        if face.b < 2:
-            out.append(Diagnostic(fpath, "b < 2"))
+        if face.a < least:
+            out.append(Diagnostic(fpath, f"a < {least}"))
+        if face.b < least:
+            out.append(Diagnostic(fpath, f"b < {least}"))
         if face.a >= 1 and face.b >= 1 and gcd(face.a, face.b) != 1:
             out.append(Diagnostic(fpath, "gcd(a,b) != 1"))
         if prev is not None and prev[0] * face.b - prev[1] * face.a <= 0:
@@ -157,12 +158,6 @@ class AnnotatedTree:
     def root(self) -> AnnotatedBamboo:
         return self.bamboos[0]
 
-    def bamboo(self, path) -> AnnotatedBamboo:
-        for b in self.bamboos:
-            if b.path == tuple(path):
-                return b
-        raise KeyError(f"no bamboo at path {path}")
-
 
 def annotate(tree: Bamboo) -> AnnotatedTree:
     """Run the multiplicity recursion over the whole tree.
@@ -184,25 +179,15 @@ def annotate_faces(faces) -> AnnotatedTree:
 
     Each entry ``(a, b, r)`` is a slope-increasing coprime pair with
     ``a, b >= 1`` and the number ``r >= 1`` of distinct roots of its face
-    polynomial, which become ``r`` leaves on that face.
+    polynomial, which become ``r`` leaves on that face.  A bad list raises
+    ValueError with the first diagnostic of that tree.
     """
-    faces = list(faces)
-    _check_face_list(faces)
-    return _annotate(Bamboo(tuple(Face(a, b, (LEAF,) * r) for a, b, r in faces)))
-
-
-def _check_face_list(faces):
-    if not faces:
-        raise ValueError("face list is empty")
-    prev = None
-    for a, b, r in faces:
-        if a < 1 or b < 1 or gcd(a, b) != 1:
-            raise ValueError(f"face ({a}, {b}) must be a coprime positive pair")
-        if r < 1:
-            raise ValueError("branch count r must be at least 1")
-        if prev is not None and prev[0] * b - prev[1] * a <= 0:
-            raise ValueError("faces out of slope order")
-        prev = (a, b)
+    tree = Bamboo(tuple(Face(a, b, (LEAF,) * r) for a, b, r in faces))
+    problems = []
+    _validate_bamboo(tree, "", problems, least=1)
+    if problems:
+        raise ValueError(str(problems[0]))
+    return _annotate(tree)
 
 
 def _annotate(tree: Bamboo) -> AnnotatedTree:

@@ -176,7 +176,6 @@ class EigenvalueWitness:
     root_order: int                       # d with exp(2 pi i theta) primitive d-th
     multiplicity: int | None              # in the H^1 characteristic polynomial
     contributions: tuple[tuple[int, int], ...]
-    via: str                              # "H0" or "H1"
 
 
 def eigenvalue_witness(delta_cyclo: CycloProduct, theta) -> EigenvalueWitness:
@@ -188,10 +187,10 @@ def eigenvalue_witness(delta_cyclo: CycloProduct, theta) -> EigenvalueWitness:
     """
     d = Fraction(theta).denominator
     if d == 1:
-        return EigenvalueWitness(True, 1, None, (), "H0")
+        return EigenvalueWitness(True, 1, None, ())
     contrib = tuple((n, e) for n, e in delta_cyclo.factors if n % d == 0)
     m = sum(e for _, e in contrib)
-    return EigenvalueWitness(m >= 1, d, m, contrib, "H1")
+    return EigenvalueWitness(m >= 1, d, m, contrib)
 
 
 class PoleCheck(NamedTuple):
@@ -200,20 +199,9 @@ class PoleCheck(NamedTuple):
     witness: EigenvalueWitness
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    verdict: str                      # "holds" | "fails"
-    checks: tuple[PoleCheck, ...]
-
-    def holds(self) -> bool:
-        return self.verdict == "holds"
-
-
-def conjecture_report(zeta: RationalFunction, delta_cyclo: CycloProduct) -> ConjectureReport:
-    checks = tuple(
+def conjecture_report(zeta: RationalFunction, delta_cyclo: CycloProduct) -> tuple[PoleCheck, ...]:
+    """One check per pole of ``zeta``: the conjecture holds if all are ok."""
+    return tuple(
         PoleCheck(p.value, p.order, eigenvalue_witness(delta_cyclo, p.value))
         for p in poles(zeta)
     )
-    verdict = "holds" if all(c.witness.ok for c in checks) else "fails"
-    return ConjectureReport(verdict, checks)
-

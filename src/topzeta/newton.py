@@ -28,6 +28,11 @@ from math import gcd
 from . import poly
 from .lattice import PrimitiveVector
 
+# Most lattice steps along one face.  Its points, its face polynomial and the
+# gcd that checks it cost time linear in the steps, so a longer face is
+# refused before its points are made.
+MAX_FACE_LENGTH = 100_000
+
 
 class ParseError(ValueError):
     def __init__(self, message, position):
@@ -199,6 +204,9 @@ def newton_faces(p: dict) -> list[NewtonFace]:
         dy = v1[1] - v2[1]
         g = gcd(dx, dy)
         normal = PrimitiveVector(dy // g, dx // g)
+        if g > MAX_FACE_LENGTH:
+            raise ValueError(f"the face with normal {normal} has lattice length {g}, "
+                             f"past the limit of {MAX_FACE_LENGTH}")
         points = tuple((v1[0] + j * normal.b, v1[1] - j * normal.a)
                        for j in range(g + 1))
         coeffs = tuple(p.get(pt, Fraction(0)) for pt in points)

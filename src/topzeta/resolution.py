@@ -125,7 +125,7 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
         ids = range(first, len(raw))
         edges += zip(ids, ids[1:])
         chains.append(ChainRecord(bam.path, tuple(ids), tuple(segs),
-                                  tuple(bam.base_nu * b - a for a, b in zip(alphas, betas))))
+                                  (bam.chain_det0, *(f.chain_det for f in bam.faces))))
         principal_ids[bam.path] = pids
         if bam.path:
             i = bam.path[-1][0]
@@ -180,10 +180,3 @@ def chain_determinant_check(graph: ResolutionGraph) -> ChainViolation | None:
                 return ChainViolation((u.id, v.id), expected, got)
     return None
 
-
-def euler_characteristic_total(graph: ResolutionGraph) -> int:
-    """chi of the exceptional set: open vertex strata plus all the
-    intersection points (edges of either kind).  For a tree of m lines
-    this must come out to m + 1."""
-    total = sum(n.chi for n in graph.nodes if n.kind == "exceptional")
-    return total + len(graph.edges)

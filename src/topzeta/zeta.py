@@ -251,12 +251,6 @@ def candidate_poles(tree: AnnotatedTree) -> list[Candidate]:
     return out
 
 
-def is_order_two_candidate(tree: AnnotatedTree, path, face: int) -> bool:
-    """True when the chain determinant vanishes at this face, which is the
-    exact condition for its candidate to be a double pole."""
-    return tree.bamboo(path).faces[face].chain_det == 0
-
-
 def zeta_nondegenerate(faces) -> RationalFunction:
     """Local topological zeta function from Newton face data (a, b, r)."""
     return zeta_general(annotate_faces(faces))

@@ -19,14 +19,14 @@ from math import gcd
 
 import pytest
 
-from topzeta.cli import analyze_poly, random_face_specs, random_tree
+from face_specs import random_face_specs
+from topzeta.cli import analyze_poly, random_tree
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.monodromy import (acampo_from_graph, characteristic_poly,
                                conjecture_report, monodromy_zeta,
                                root_multiplicity)
 from topzeta.resolution import (build_graph, build_graph_nondegenerate,
-                                chain_determinant_check, definitional_zeta,
-                                euler_characteristic_total)
+                                chain_determinant_check, definitional_zeta)
 from topzeta.zeta import (candidate_poles, poles, rf, zeta_general,
                           zeta_nondegenerate)
 
@@ -176,7 +176,7 @@ def test_criterion_01_cusp_golden():
     assert zm.exponents() == {6: 1, 2: -1, 3: -1}
     delta = characteristic_poly(zm)
     assert delta.coeffs == (1, -1, 1) and delta.mu == 2
-    assert conjecture_report(z, delta.cyclo).verdict == "holds"
+    assert all(c.witness.ok for c in conjecture_report(z, delta.cyclo))
     print("criterion  1 PASS  cusp golden values")
 
 
@@ -205,8 +205,8 @@ def test_criterion_04_subdivision_independence(tree_corpus):
         assert definitional_zeta(refined) == inst.zeta_oracle
         assert acampo_from_graph(refined) == inst.zmon_oracle
         assert chain_determinant_check(refined) is None
-        assert euler_characteristic_total(refined) == \
-            sum(1 for n in refined.nodes if n.kind == "exceptional") + 1
+        lines = [n for n in refined.nodes if n.kind == "exceptional"]
+        assert sum(n.chi for n in lines) + len(refined.edges) == len(lines) + 1
     print(f"criterion  4 PASS  ray insertion invariance on {RAY_INSTANCES} instances")
 
 
@@ -254,10 +254,10 @@ def test_criterion_07_order_two_characterization(face_corpus):
 def test_criterion_08_monodromy_conjecture(tree_corpus, face_corpus):
     for inst in tree_corpus:
         delta = characteristic_poly(inst.zmon, max_degree=0)
-        assert conjecture_report(inst.zeta, delta.cyclo).verdict == "holds"
+        assert all(c.witness.ok for c in conjecture_report(inst.zeta, delta.cyclo))
     for inst in face_corpus:
         delta = characteristic_poly(inst.zmon, max_degree=0)
-        assert conjecture_report(inst.zeta, delta.cyclo).verdict == "holds"
+        assert all(c.witness.ok for c in conjecture_report(inst.zeta, delta.cyclo))
     total = len(tree_corpus) + len(face_corpus)
     print(f"criterion  8 PASS  conjecture holds on all {total} instances")
 

@@ -5,11 +5,12 @@ import time
 
 import pytest
 
-from topzeta import cli
+from face_specs import random_face_specs
+from topzeta import cli, newton
 from topzeta.cli import (EXIT_DEGENERATE, EXIT_INCONSISTENT, EXIT_INVALID,
                          EXIT_OK, EXIT_USAGE, analyze_poly,
-                         analyze_tree, check_instance, main, random_face_specs,
-                         random_tree, render_report, tree_hash)
+                         analyze_tree, check_instance, main, random_tree,
+                         render_report, tree_hash)
 from topzeta.equitree import (Bamboo, Face, LEAF, annotate, tree_from_json,
                               validate)
 from topzeta.monodromy import CycloProduct
@@ -204,6 +205,24 @@ def test_poly_command_points_at_an_unreadable_integer(capsys, expr):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: cannot read the ")
     assert captured.err.endswith("-digit integer at index 2\n")
+
+
+def test_poly_command_refuses_a_face_past_the_length_limit(capsys, monkeypatch):
+    monkeypatch.setattr(newton, "MAX_FACE_LENGTH", 10)
+    assert main(["poly", "x^10 + y^10"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["poly", "x^11 + y^11"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the face with normal (1,1) has lattice length 11, "
+                            "past the limit of 10\n")
+
+
+def test_poly_command_takes_a_leading_minus_after_a_double_dash(capsys):
+    assert main(["poly", "y^3 - x^2"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["poly", "--", "-x^2+y^3"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
 
 
 def test_poly_higher_terms_do_not_matter():

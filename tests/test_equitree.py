@@ -111,12 +111,29 @@ def test_annotate_faces_allows_unit_entries():
     assert [(f.mult, f.nu) for f in smooth.root.faces] == [(9, 5), (5, 3)]
 
 
-@pytest.mark.parametrize("faces", [
-    [], [(2, 4, 1)], [(0, 1, 1)], [(2, 3, 0)], [(2, 3, 1), (3, 2, 1)],
+@pytest.mark.parametrize("faces,message", [
+    pytest.param(faces, message, id=f"faces{i}")
+    for i, (faces, message) in enumerate([
+        ([], "bamboo has no faces at path /faces"),
+        ([(2, 4, 1)], "gcd(a,b) != 1 at path /faces/0"),
+        ([(0, 1, 1)], "a < 1 at path /faces/0"),
+        ([(2, 3, 0)], "face has no branch classes at path /faces/0/classes"),
+        ([(2, 3, 1), (3, 2, 1)], "slope order violated at path /faces/1"),
+    ])
 ])
-def test_annotate_faces_rejects_bad_lists(faces):
-    with pytest.raises(ValueError):
+def test_annotate_faces_rejects_bad_lists(faces, message):
+    with pytest.raises(ValueError) as exc:
         annotate_faces(faces)
+    assert str(exc.value) == message
+
+
+def test_unit_entries_only_at_the_root_of_a_face_list():
+    tree = Bamboo((Face(1, 2, (LEAF,)),))
+    assert [str(d) for d in validate(tree)] == ["a < 2 at path /faces/0"]
+    with pytest.raises(ValueError, match="^a < 2 at path /faces/0$"):
+        annotate(tree)
+    (face,) = annotate_faces([(1, 2, 1)]).root.faces
+    assert (face.a, face.b, face.mult, face.nu) == (1, 2, 2, 3)
 
 
 def test_json_roundtrip():

@@ -1,14 +1,17 @@
-"""The benchmark's hooks into topzeta: every function it traces or records exists.
+"""The benchmark's hooks into topzeta: every function it traces or records
+exists, and its fuzz checks pass.
 
 ``perfbench/spans.py`` rebinds, by name, each function that ``TRACED``
 lists for a topzeta module, and ``perfbench/checks.py`` records the calls
 that ``FUZZ_RECORDED`` names on ``topzeta.cli``.  Deleting one of those
 functions would break ``perfbench/run.py --trace 1`` or the fuzz value
-checks only when the benchmark runs; these tests see it first.  Both
+checks only when the benchmark runs, and so would a change to what
+``check_instance`` returns or computes; these tests see it first.  The
 files are imported without writing bytecode next to them.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -17,6 +20,9 @@ import pytest
 from topzeta import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CUSP = {"faces": [{"a": 2, "b": 3, "classes": ["leaf"]}]}
+THREE_LEVEL = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "trees" / "three_level.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +32,7 @@ def perfbench():
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True
     try:
-        modules = {name: importlib.import_module(name) for name in ("spans", "checks")}
+        modules = {name: importlib.import_module(name) for name in ("spans", "checks", "oracle")}
         for mod in modules.values():
             assert Path(mod.__file__).parent == PERFBENCH
         yield modules
@@ -50,3 +56,13 @@ def test_every_recorded_fuzz_function_exists(perfbench):
     missing = [name for name in perfbench["checks"].FUZZ_RECORDED
                if not callable(getattr(cli, name, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("tree", [CUSP, THREE_LEVEL], ids=["cusp", "three_level"])
+def test_fuzz_checks_of_the_benchmark_pass(perfbench, tree):
+    checks, spans, oracle = perfbench["checks"], perfbench["spans"], perfbench["oracle"]
+    spec = cli.tree_from_json(tree)
+    assert checks.check_fuzz(cli.check_instance(spec, ray_seed=1)) == []
+    with spans.recording(cli, checks.FUZZ_RECORDED) as calls:
+        cli.check_instance(spec, ray_seed=1)
+    assert checks.check_fuzz_values(calls, oracle.tree_graph(tree)) == []

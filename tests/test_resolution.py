@@ -4,8 +4,7 @@ from topzeta.equitree import Bamboo, Face, LEAF, annotate
 from topzeta.lattice import PrimitiveVector
 from topzeta.resolution import (DivisorNode, ResolutionGraph, build_graph,
                                 build_graph_nondegenerate,
-                                chain_determinant_check, definitional_zeta,
-                                euler_characteristic_total)
+                                chain_determinant_check, definitional_zeta)
 from topzeta.zeta import rf, zeta_general, zeta_nondegenerate
 
 
@@ -107,11 +106,13 @@ def test_chain_determinant_check_catches_corruption():
 
 
 def test_euler_characteristic_is_tree_count():
-    for tree in (CUSP, TWO_PAIR):
-        g = build_graph(tree)
-        assert euler_characteristic_total(g) == len(exceptional(g)) + 1
-    refined = build_graph(TWO_PAIR, extra_rays=3, seed=4)
-    assert euler_characteristic_total(refined) == len(exceptional(refined)) + 1
+    # chi of the exceptional set: the open vertex strata plus every
+    # intersection point, one per edge; m lines in a tree give m + 1
+    graphs = [build_graph(CUSP), build_graph(TWO_PAIR),
+              build_graph(TWO_PAIR, extra_rays=3, seed=4)]
+    for g in graphs:
+        lines = exceptional(g)
+        assert sum(n.chi for n in lines) + len(g.edges) == len(lines) + 1
 
 
 def test_graph_refused_past_max_divisors():

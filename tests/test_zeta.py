@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.zeta import (ZERO, candidate_poles, is_order_two_candidate,
-                          poles, rf, rf_sum, zeta_general, zeta_nondegenerate)
+from topzeta.zeta import (ZERO, candidate_poles, poles, rf, rf_sum,
+                          zeta_general, zeta_nondegenerate)
 
 
 def annotated(*faces):
@@ -207,10 +207,10 @@ def test_poles_examples():
 
 
 def test_order_two_candidate_flags():
-    assert not is_order_two_candidate(CUSP, (), 0)          # chain det -3
+    assert CUSP.root.faces[0].chain_det == -3
     pair = annotated(Face(3, 2, (LEAF,)), Face(2, 3, (LEAF,)))
-    assert is_order_two_candidate(pair, (), 0)              # chain det 0
-    assert not is_order_two_candidate(annotated(Face(2, 5, (LEAF,))), (), 0)
+    assert pair.root.faces[0].chain_det == 0
+    assert annotated(Face(2, 5, (LEAF,))).root.faces[0].chain_det != 0
 
 
 def test_order_two_pole_realized():
