@@ -43,12 +43,14 @@ EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 EXIT_INCONSISTENT = 4
 
-FUZZ_EXPANSION_CAP = 4000   # palindrome checks only below this degree
+FUZZ_EXPANSION_CAP = 4000   # delta_values checks only below this degree
 FUZZ_MAX_DEPTH = 3          # nesting levels of a random tree
 FUZZ_MAX_K = 3              # faces per random bamboo: 1..3
 FUZZ_MAX_AB = 9             # face entries: 2..9
 FUZZ_MAX_CLASSES = 3        # branch classes per random face: 1..3
 FUZZ_EXTRA_RAYS = 3         # random rays per bamboo of the refined graph
+DELTA_PRIME = 2 ** 61 - 1   # delta_values compares values modulo this prime
+DELTA_POINTS = (3, 5, 7)    # at these t
 
 
 def _random_coprime_pairs(rng, k):
@@ -233,16 +235,33 @@ def check_instance(spec: Bamboo, *, ray_seed: int = 0) -> dict:
         delta = None
     checks["delta_polynomial"] = delta is not None
     if delta is not None and delta.coeffs is not None:
-        c = delta.coeffs
-        sign = 1 if c[0] == c[-1] else -1
-        checks["delta_palindrome"] = all(
-            c[j] == sign * c[delta.mu - j] for j in range(len(c)))
+        checks["delta_values"] = _delta_values_agree(delta)
     cand_values = {c.value for c in candidate_poles(annotated)}
     checks["pole_containment"] = all(p.value in cand_values for p in poles(z))
     # without a polynomial there are no eigenvalues to check the poles against
     checks["conjecture"] = delta is not None and all(
         c.witness.ok for c in conjecture_report(z, delta.cyclo))
     return checks
+
+
+def _delta_values_agree(delta) -> bool:
+    """The expanded coefficients and the product prod (1 - t^n)^e take equal
+    values at DELTA_POINTS modulo DELTA_PRIME; a point where some 1 - t^n
+    vanishes is skipped."""
+    for x in DELTA_POINTS:
+        want = 1
+        for n, e in delta.cyclo.factors:
+            base = (1 - pow(x, n, DELTA_PRIME)) % DELTA_PRIME
+            if base == 0:
+                break
+            want = want * pow(base, e, DELTA_PRIME) % DELTA_PRIME
+        else:
+            got = 0
+            for c in reversed(delta.coeffs):
+                got = (got * x + c) % DELTA_PRIME
+            if got != want:
+                return False
+    return True
 
 
 def run_fuzz(count: int, seed: int, *, json_out: bool = False) -> int:

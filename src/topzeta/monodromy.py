@@ -15,16 +15,23 @@ unity has multiplicity  sum of e_n over d | n,  which is well defined
 because the coefficients are real.  Eigenvalue queries therefore never
 touch floating point.
 
-The characteristic polynomial's coefficients are its power series modulo
-``t^(mu + 1)``, one list of ``mu + 1`` integers.  The factors
-``(1 - t^n)`` with n > 1 go in with positive exponents first, in
-ascending n, then with negative ones: a multiplication is a shifted
-subtraction, a division a running sum along each residue class mod n.
+The characteristic polynomial is palindromic up to sign: each factor
+``1 - t^n`` is anti-palindromic, ``t^n (1 - t^-n) = -(1 - t^n)``, so
+``c[mu - j] = (-1)^(sum e) c[j]``.  Only ``c[0..h]`` with
+``h = min(mu // 2 + 1, mu)`` are computed, as the power series modulo
+``t^(h + 1)``; the rest is that list mirrored, and ``c[h]``, one past the
+half, must already equal its mirror image.  The factors ``(1 - t^n)``
+with n > 1 go in with positive exponents first, in ascending n, then with
+negative ones; a factor with n > h is 1 modulo ``t^(h + 1)`` and is
+skipped, though its n still enters the stride g below.  A multiplication
+is a shifted subtraction.  A division is a running sum, either along
+each residue class mod n (n/g classes) or one block of n coefficients
+after another (h/n blocks), whichever takes fewer Python-level steps.
 Each runs at stride g, the gcd of the exponents applied so far, since
 the series is zero off the multiples of g.  ``(1 - t)^e`` goes in at the
-first factor that would bring g to 1, or last.  Series modulo
-``t^(mu + 1)`` form a ring, so the order of the steps leaves the result
-as it is, and truncation is exact because the root multiplicities, all
+first factor that would bring g to 1, or last.  Truncation to ``t^(h + 1)`` is a ring map, so the order of the
+steps leaves the result as it is, and the truncated series is the
+polynomial's own low part because the root multiplicities, all
 nonnegative, have shown the product to be a polynomial of degree ``mu``.
 """
 
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from operator import sub
+from operator import add, neg, sub
 from typing import NamedTuple
 
 from .equitree import AnnotatedTree
@@ -142,6 +149,9 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
     assert mu >= 0
     coeffs = None
     if mu <= max_degree:
+        # c[0..h] as a series modulo t^(h + 1), then the mirror image
+        h = min(mu // 2 + 1, mu)
+        sign = (-1) ** sum(e for _, e in cyclo.factors)
         # multiplications in ascending n, then divisions; (1 - t) goes in
         # where the gcd of the exponents applied would first reach 1
         steps = sorted(((n, e) for n, e in cyclo.factors if n > 1),
@@ -149,18 +159,27 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
         at = next((i for i, g in enumerate(accumulate((n for n, _ in steps), gcd))
                    if g == 1), len(steps))
         steps.insert(at, (1, cyclo.exponents().get(1, 0)))
-        f = [1] + [0] * mu
+        f = [1] + [0] * h
         top = g = 0
         for n, e in steps:
             g = gcd(g, n)
+            if n > h:           # 1 - t^n is 1 modulo t^(h + 1)
+                continue
             for _ in range(e):
-                top = min(top + n, mu)
+                top = min(top + n, h)
                 f[n:top + 1:g] = map(sub, f[n:top + 1:g], f[:top + 1 - n:g])
             for _ in range(-e):
-                top = mu
-                for r in range(0, min(n, mu + 1), g):
-                    f[r::n] = accumulate(f[r::n])
-        assert f[mu] == (-1) ** sum(e for _, e in cyclo.factors)
+                top = h
+                if h // n < n // g:     # fewer blocks of n than residue classes
+                    for k in range(n, h + 1, n):
+                        f[k:k + n:g] = map(add, f[k:k + n:g], f[k - n:k:g])
+                else:
+                    for r in range(0, n, g):
+                        f[r::n] = accumulate(f[r::n])
+        assert f[h] == sign * f[mu - h]
+        if mu > h:
+            tail = f[mu - h - 1::-1]
+            f += tail if sign == 1 else map(neg, tail)
         coeffs = tuple(f)
     return CharPoly(cyclo, coeffs, mu)
 

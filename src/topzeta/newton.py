@@ -28,9 +28,10 @@ from math import gcd
 from . import poly
 from .lattice import PrimitiveVector
 
-# Most lattice steps along one face.  Its points, its face polynomial and the
-# gcd that checks it cost time linear in the steps, so a longer face is
-# refused before its points are made.
+# Most lattice steps along one face, and along all faces together.  A face's
+# points, its face polynomial and the gcd that checks it cost time linear in
+# its steps, so a face that passes the limit, alone or with the faces before
+# it, is refused before its points are made.
 MAX_FACE_LENGTH = 100_000
 
 
@@ -199,13 +200,17 @@ def newton_faces(p: dict) -> list[NewtonFace]:
         if pt[1] == 0:
             break
     faces = []
+    total = 0
     for v1, v2 in zip(chain, chain[1:]):
         dx = v2[0] - v1[0]
         dy = v1[1] - v2[1]
         g = gcd(dx, dy)
         normal = PrimitiveVector(dy // g, dx // g)
-        if g > MAX_FACE_LENGTH:
-            raise ValueError(f"the face with normal {normal} has lattice length {g}, "
+        total += g
+        if total > MAX_FACE_LENGTH:
+            length = (f"has lattice length {g}" if total == g
+                      else f"brings the total lattice length to {total}")
+            raise ValueError(f"the face with normal {normal} {length}, "
                              f"past the limit of {MAX_FACE_LENGTH}")
         points = tuple((v1[0] + j * normal.b, v1[1] - j * normal.a)
                        for j in range(g + 1))

@@ -89,24 +89,30 @@ class RationalFunction:
 ZERO = RationalFunction(Fraction(0), (), ())
 
 
+class _TermHeads(dict):
+    """Sign and magnitude of a term by its coefficient: " + 3*", " - "."""
+
+    def __missing__(self, c):
+        mag = abs(c)
+        head = self[c] = (" + " if c > 0 else " - ") + ("" if mag == 1 else f"{mag}*")
+        return head
+
+
 def poly_str(coeffs, var):
     """Human form of a coefficient list, highest power first."""
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(terms) if terms else "0"
+    heads = _TermHeads()
+    terms = [f"{heads[c]}{var}^{i}"
+             for i, c in zip(range(len(coeffs) - 1, 1, -1), reversed(coeffs)) if c]
+    if len(coeffs) > 1 and coeffs[1]:
+        terms.append(heads[coeffs[1]] + var)
+    if coeffs and coeffs[0]:
+        c = coeffs[0]
+        terms.append(f"{' + ' if c > 0 else ' - '}{abs(c)}")
+    if not terms:
+        return "0"
+    first = terms[0]
+    terms[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(terms)
 
 
 def rf(coef=1, num=(1,), den=()) -> RationalFunction:

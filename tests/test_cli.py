@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -218,6 +219,19 @@ def test_poly_command_refuses_a_face_past_the_length_limit(capsys, monkeypatch):
                             "past the limit of 10\n")
 
 
+def test_poly_command_refuses_faces_past_the_total_length_limit(capsys, monkeypatch):
+    # faces (2,1) and (1,2) of lattice length 3 each: 6 steps in all
+    monkeypatch.setattr(newton, "MAX_FACE_LENGTH", 6)
+    assert main(["poly", "y^9 + x^3*y^3 + x^9"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(newton, "MAX_FACE_LENGTH", 5)
+    assert main(["poly", "y^9 + x^3*y^3 + x^9"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the face with normal (1,2) brings the total lattice "
+                            "length to 6, past the limit of 5\n")
+
+
 def test_poly_command_takes_a_leading_minus_after_a_double_dash(capsys):
     assert main(["poly", "y^3 - x^2"]) == EXIT_OK
     expected = capsys.readouterr().out
@@ -276,6 +290,24 @@ def test_check_instance_all_green():
     spec = Bamboo((Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)), LEAF)),))
     checks = check_instance(spec, ray_seed=1)
     assert all(checks.values()), checks
+    assert checks["delta_values"] is True
+
+
+def test_delta_values_catches_a_wrong_mirror(monkeypatch):
+    # the upper half of the expansion mirrored with the wrong sign
+    real = cli.characteristic_poly
+
+    def wrong_mirror(z, **kwargs):
+        delta = real(z, **kwargs)
+        half = delta.mu // 2 + 1
+        coeffs = delta.coeffs[:half + 1] + tuple(-c for c in delta.coeffs[half + 1:])
+        return dataclasses.replace(delta, coeffs=coeffs)
+
+    spec = Bamboo((Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)), LEAF)),))
+    monkeypatch.setattr(cli, "characteristic_poly", wrong_mirror)
+    checks = check_instance(spec)
+    assert checks["delta_values"] is False
+    assert all(ok for name, ok in checks.items() if name != "delta_values")
 
 
 def test_fuzz_reports_a_monodromy_that_is_no_polynomial(capsys, tmp_path, monkeypatch):

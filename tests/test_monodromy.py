@@ -154,7 +154,10 @@ def test_characteristic_poly_matches_polynomial_division():
     # multiplies and exactly divides dense polynomials
     rng = random.Random(31)
     seen = {"e1 = 0": 0, "e1 < 0": 0, "e1 >= 2": 0,
-            "strided multiplication": 0, "strided division": 0}
+            "strided multiplication": 0, "strided division": 0,
+            "block division": 0, "residue-class division": 0,
+            "odd mu": 0, "even mu": 0, "sign != (-1)^mu": 0,
+            "zero middle coefficient": 0}
     checked = 0
     while checked < 150:
         exps = {}
@@ -186,7 +189,28 @@ def test_characteristic_poly_matches_polynomial_division():
         # the first factor always runs at the stride n; count the later ones
         seen["strided multiplication"] += any(e > 0 and g > 1 for _, e, g in steps[1:])
         seen["strided division"] += any(e < 0 and g > 1 for _, e, g in steps)
+        # the expansion runs to degree h and divides block by block when
+        # that takes fewer steps than one per residue class
+        mu = delta.mu
+        h = min(mu // 2 + 1, mu)
+        divisions = [(n, g) for n, e, g in steps if e < 0 and n <= h]
+        seen["block division"] += any(h // n < n // g for n, g in divisions)
+        seen["residue-class division"] += any(h // n >= n // g for n, g in divisions)
+        seen["odd mu"] += mu % 2 == 1
+        seen["even mu"] += mu % 2 == 0
+        if (-1) ** sum(e for _, e in factors) != (-1) ** mu:
+            seen["sign != (-1)^mu"] += 1
+            # c[mu - j] = -(-1)^mu c[j]: at even mu the middle is its own negative
+            if mu % 2 == 0:
+                assert delta.coeffs[mu // 2] == 0
+                seen["zero middle coefficient"] += 1
     assert all(seen.values()), seen
+
+
+def test_characteristic_poly_of_degree_zero():
+    # h = min(mu // 2 + 1, mu) = 0; test_characteristic_poly_trivial_product has mu = 1
+    delta = characteristic_poly(cyclo({1: -1}))
+    assert delta.coeffs == (1,) and delta.mu == 0
 
 
 def test_palindrome_two_pair():

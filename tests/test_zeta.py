@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.zeta import (ZERO, candidate_poles, poles, rf, rf_sum,
+from topzeta.zeta import (ZERO, candidate_poles, poles, poly_str, rf, rf_sum,
                           zeta_general, zeta_nondegenerate)
 
 
@@ -124,6 +125,42 @@ def test_rf_ring_laws(terms, rnd, cut):
     for (n, v), e in z.den:
         assert n >= 1 and gcd(n, v) == 1 and e >= 1
         assert sum(c * Fraction(-v, n) ** i for i, c in enumerate(z.num)) != 0
+
+
+# --- text form of a polynomial ----------------------------------------------
+
+def poly_str_per_term(coeffs, var):
+    """The term-by-term printer that poly_str must reproduce byte for byte."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            head = "" if mag == 1 else f"{mag}*"
+            body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
+        if not terms:
+            terms.append(body if c > 0 else f"-{body}")
+        else:
+            terms.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(terms) if terms else "0"
+
+
+def test_poly_str_matches_the_per_term_printer():
+    # zeros (leading and trailing too), +-1, negatives, and integers of
+    # hundreds of digits, as in the zeta numerators of the golden chains
+    rng = random.Random(17)
+    small = (0, 0, 1, -1, 2, -3)
+    for _ in range(3000):
+        coeffs = [rng.choice(small) if rng.random() < 0.6
+                  else rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 400))
+                  for _ in range(rng.randint(0, 6))]
+        for var in ("s", "t"):
+            assert poly_str(coeffs, var) == poly_str_per_term(coeffs, var), coeffs
+            assert poly_str(tuple(coeffs), var) == poly_str_per_term(coeffs, var)
 
 
 # --- closed forms ------------------------------------------------------------
