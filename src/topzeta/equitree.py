@@ -1,8 +1,9 @@
 """Decorated resolution trees for plane curve singularities.
 
 A tree is a nested structure of bamboos.  A bamboo is a slope-increasing
-list of faces; a face carries a coprime pair ``(a, b)`` with both entries
-at least two, plus a nonempty list of branch classes.  A branch class is
+list of faces; a face carries a coprime pair ``(a, b)`` with ``a, b >= 1``,
+the Newton pair of the curve in the chart of the toric modification
+before it, plus a nonempty list of branch classes.  A branch class is
 either a :class:`Leaf` (a single smooth branch of the curve) or a whole
 sub-bamboo describing how that class of branches keeps splitting after
 the toric modification attached at this face.
@@ -16,9 +17,8 @@ as its base context; the root bamboo starts from ``(0, 1)``.
 
 A Newton-nondegenerate polynomial is the depth-one case: its face list
 ``(a, b, r)`` is the root bamboo with ``r`` leaves on each face, which
-``annotate_faces`` builds and annotates by the same walk.  In that input
-form the root faces may have ``a = 1`` or ``b = 1`` (the ordinary node is
-the face ``(1, 1)`` with two leaves); trees keep both entries at least two.
+``annotate_faces`` builds and annotates (the ordinary node is the face
+``(1, 1)`` with two leaves).
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def validate(tree: Bamboo) -> list[Diagnostic]:
     return out
 
 
-def _validate_bamboo(bamboo, path, out, least=2):
-    """Append to ``out`` what is wrong: a, b >= least here, >= 2 in sub-bamboos."""
+def _validate_bamboo(bamboo, path, out):
+    """Append to ``out`` what is wrong with ``bamboo`` and its sub-bamboos."""
     if not isinstance(bamboo, Bamboo):
         out.append(Diagnostic(path or "/", "not a bamboo"))
         return
@@ -97,10 +97,10 @@ def _validate_bamboo(bamboo, path, out, least=2):
         if not (isinstance(face.a, int) and isinstance(face.b, int)):
             out.append(Diagnostic(fpath, "a and b must be integers"))
             continue
-        if face.a < least:
-            out.append(Diagnostic(fpath, f"a < {least}"))
-        if face.b < least:
-            out.append(Diagnostic(fpath, f"b < {least}"))
+        if face.a < 1:
+            out.append(Diagnostic(fpath, "a < 1"))
+        if face.b < 1:
+            out.append(Diagnostic(fpath, "b < 1"))
         if face.a >= 1 and face.b >= 1 and gcd(face.a, face.b) != 1:
             out.append(Diagnostic(fpath, "gcd(a,b) != 1"))
         if prev is not None and prev[0] * face.b - prev[1] * face.a <= 0:
@@ -171,26 +171,6 @@ def annotate(tree: Bamboo) -> AnnotatedTree:
     problems = validate(tree)
     if problems:
         raise ValueError(str(problems[0]))
-    return _annotate(tree)
-
-
-def annotate_faces(faces) -> AnnotatedTree:
-    """Annotated one-bamboo tree of a Newton-nondegenerate face list.
-
-    Each entry ``(a, b, r)`` is a slope-increasing coprime pair with
-    ``a, b >= 1`` and the number ``r >= 1`` of distinct roots of its face
-    polynomial, which become ``r`` leaves on that face.  A bad list raises
-    ValueError with the first diagnostic of that tree.
-    """
-    tree = Bamboo(tuple(Face(a, b, (LEAF,) * r) for a, b, r in faces))
-    problems = []
-    _validate_bamboo(tree, "", problems, least=1)
-    if problems:
-        raise ValueError(str(problems[0]))
-    return _annotate(tree)
-
-
-def _annotate(tree: Bamboo) -> AnnotatedTree:
     bamboos = []
 
     def walk(bamboo, path, base_mult, base_nu):
@@ -229,6 +209,17 @@ def _annotate(tree: Bamboo) -> AnnotatedTree:
 
     walk(tree, (), 0, 1)
     return AnnotatedTree(tuple(bamboos))
+
+
+def annotate_faces(faces) -> AnnotatedTree:
+    """Annotated one-bamboo tree of a Newton-nondegenerate face list.
+
+    Each entry ``(a, b, r)`` is a slope-increasing coprime pair with
+    ``a, b >= 1`` and the number ``r >= 1`` of distinct roots of its face
+    polynomial, which become ``r`` leaves on that face.  A bad list raises
+    ValueError with the first diagnostic of that tree.
+    """
+    return annotate(Bamboo(tuple(Face(a, b, (LEAF,) * r) for a, b, r in faces)))
 
 
 # ---------------------------------------------------------------------------

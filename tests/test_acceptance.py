@@ -1,14 +1,19 @@
 """Acceptance suite: one test per criterion, exact values throughout.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass line
-per criterion.  The tree corpus is 500 seeded random trees (depth <= 3,
-up to 3 faces per bamboo, entries <= 9) plus the golden instances; the
-face corpus is 200 seeded random nondegenerate face lists with all
-entries at least two, plus the constructed double-pole instance.  The
-checks that need no resolution graph (Z(0) = 1, Kouchnirenko's Milnor
-number) also run on 2000 seeded face lists with entries 1..9, and so
-does the one that reads the poles and their orders off the graph's
-rupture divisors.
+per criterion.  A face's ``(a, b)`` is the Newton pair of the curve in the
+chart of the toric modification before it, with ``a, b >= 1`` at every
+depth.  The tree corpus is 500 seeded random trees (depth <= 3, up to 3
+faces per bamboo, entries 2..9) plus the golden instances; the unit-entry
+tree corpus is 200 more with entries 1..9 at every depth.  The face corpus
+is 200 seeded random nondegenerate face lists with all entries at least
+two, plus the constructed double-pole instance.  The checks that need no
+resolution graph (Z(0) = 1, Kouchnirenko's Milnor number) also run on
+2000 seeded face lists with entries 1..9, and so does the one that reads
+the poles and their orders off the graph's rupture divisors.  Criterion
+14 reads mu and every principal N off the contact orders of the Puiseux
+roots, with neither the multiplicity recursion nor the graph, and a last
+test rewrites trees into non-minimal encodings of the same germ.
 """
 
 import random
@@ -19,9 +24,9 @@ from math import gcd
 
 import pytest
 
-from face_specs import random_face_specs
+from face_specs import random_face_specs, random_unit_pairs, random_unit_tree
 from topzeta.cli import analyze_poly, random_tree
-from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
+from topzeta.equitree import Bamboo, Face, LEAF, Leaf, annotate, annotate_faces
 from topzeta.monodromy import (acampo_from_graph, characteristic_poly,
                                conjecture_report, monodromy_zeta,
                                root_multiplicity)
@@ -36,8 +41,12 @@ FACE_SEED = 11
 FACE_COUNT = 200
 UNIT_FACE_SEED = 5
 UNIT_FACE_COUNT = 2000
+UNIT_TREE_SEED = 13
+UNIT_TREE_COUNT = 200
+REWRITE_SEED = 17
 RAY_INSTANCES = 100
 EXPANSION_CAP = 2500
+FULL_EXPANSION_CAP = 300
 
 CUSP = Bamboo((Face(2, 3, (LEAF,)),))
 TWO_PAIR = Bamboo((Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)),)),))
@@ -64,25 +73,33 @@ class FaceInstance:
     zmon: object
 
 
+def tree_instance(spec):
+    annotated = annotate(spec)
+    graph = build_graph(annotated)
+    return TreeInstance(
+        spec=spec,
+        annotated=annotated,
+        zeta=zeta_general(annotated),
+        graph=graph,
+        zeta_oracle=definitional_zeta(graph),
+        zmon=monodromy_zeta(annotated),
+        zmon_oracle=acampo_from_graph(graph),
+    )
+
+
 @pytest.fixture(scope="module")
 def tree_corpus():
     rng = random.Random(TREE_SEED)
     specs = [random_tree(rng) for _ in range(TREE_COUNT)]
-    specs += [CUSP, TWO_PAIR]
-    out = []
-    for spec in specs:
-        annotated = annotate(spec)
-        graph = build_graph(annotated)
-        out.append(TreeInstance(
-            spec=spec,
-            annotated=annotated,
-            zeta=zeta_general(annotated),
-            graph=graph,
-            zeta_oracle=definitional_zeta(graph),
-            zmon=monodromy_zeta(annotated),
-            zmon_oracle=acampo_from_graph(graph),
-        ))
-    return out
+    return [tree_instance(spec) for spec in specs + [CUSP, TWO_PAIR]]
+
+
+@pytest.fixture(scope="module")
+def unit_tree_corpus():
+    """Random trees with a, b in 1..9 at every depth, so that a face with
+    a = 1 or b = 1 occurs below the root too."""
+    rng = random.Random(UNIT_TREE_SEED)
+    return [tree_instance(random_unit_tree(rng)) for _ in range(UNIT_TREE_COUNT)]
 
 
 @pytest.fixture(scope="module")
@@ -107,17 +124,8 @@ def unit_face_lists():
     """Random face lists with a, b in 1..9, so that faces with a = 1 or
     b = 1 (smooth faces, whose candidate may cancel) occur."""
     rng = random.Random(UNIT_FACE_SEED)
-    out = []
-    while len(out) < UNIT_FACE_COUNT:
-        pairs = set()
-        for _ in range(rng.randint(1, 3)):
-            a, b = rng.randint(1, 9), rng.randint(1, 9)
-            if gcd(a, b) == 1:
-                pairs.add((a, b))
-        if pairs:
-            out.append([(a, b, rng.randint(1, 3))
-                        for a, b in sorted(pairs, key=lambda p: Fraction(p[1], p[0]))])
-    return out
+    return [[(a, b, rng.randint(1, 3)) for a, b in random_unit_pairs(rng)]
+            for _ in range(UNIT_FACE_COUNT)]
 
 
 def value_at_zero(z):
@@ -167,6 +175,89 @@ def rupture_poles(graph):
     return orders
 
 
+def root_count(cls):
+    """Puiseux roots of a branch class per determination of the levels
+    above it: 1 for a leaf, the sum of a times its classes' counts over the
+    faces of a sub-bamboo."""
+    if isinstance(cls, Leaf):
+        return 1
+    return sum(f.a * sum(root_count(c) for c in f.classes) for f in cls.faces)
+
+
+def contact_oracle(tree):
+    """Milnor number and {(bamboo path, face index): N} of a tree, from the
+    contact orders of its Puiseux roots alone.
+
+    A leaf whose path has the pairs (a_1, b_1) ... (a_k, b_k) has A_k =
+    a_1 ... a_k roots, whose level-m terms have the exponents E_m = E_(m-1)
+    + b_m / (a_m A_(m-1)).  Two roots that first differ at level l have
+    contact E_(l-1) + min(b/a, b'/a') / A_(l-1) when they lie on different
+    faces there, and E_l when they lie on one face, in different classes or
+    as different conjugates.  The sum over ordered pairs of distinct roots
+    is mu + n - 1, n the number of roots (Teissier); a face's N is the sum
+    of contacts between the roots of a curvette, a new class on that face,
+    and those of the curve (Halphen-Zeuthen).  The walk takes one group of
+    roots that agree through the levels above a bamboo at a time: E and P =
+    A_(l-1) are the group's exponent and the number of such groups, and
+    ``outside`` the contacts of one of its roots with every root outside.
+    """
+    mults = {}
+
+    def walk(bamboo, path, E, P, outside):
+        slopes = [Fraction(f.b, f.a * P) for f in bamboo.faces]
+        counts = [[root_count(c) for c in f.classes] for f in bamboo.faces]
+        group = [f.a * sum(rs) for f, rs in zip(bamboo.faces, counts)]
+        pairs = 0
+        for i, f in enumerate(bamboo.faces):
+            across = sum(g * (E + min(slopes[i], slopes[j]))
+                         for j, g in enumerate(group) if j != i)
+            here = E + slopes[i]
+            pairs += group[i] * across + (group[i] ** 2 - f.a * sum(r * r for r in counts[i])) * here
+            mults[(path, i)] = P * f.a * (outside + across + group[i] * here)
+            for l, (cls, r) in enumerate(zip(f.classes, counts[i])):
+                if isinstance(cls, Bamboo):
+                    pairs += f.a * walk(cls, path + ((i, l),), here, P * f.a,
+                                        outside + across + (group[i] - r) * here)
+        return pairs
+
+    pairs = walk(tree, (), Fraction(0), 1, Fraction(0))
+    return pairs - root_count(tree) + 1, mults
+
+
+def times_one_minus(c, n):
+    """The coefficients of c(t) * (1 - t^n)."""
+    return [x - (c[i - n] if i >= n else 0) for i, x in enumerate(c + [0] * n)]
+
+
+def full_expansion(factors):
+    """The coefficients of prod (1 - t^n)^e over its whole degree, with no
+    mirroring: the factors with e > 0 multiplied out, then each one with
+    e < 0 divided off, a division that must be exact."""
+    c = [1]
+    for n, e in factors:
+        for _ in range(max(e, 0)):
+            c = times_one_minus(c, n)
+    for n, e in factors:
+        for _ in range(max(-e, 0)):
+            q = c[:len(c) - n]
+            for i in range(n, len(q)):
+                q[i] += q[i - n]
+            assert times_one_minus(q, n) == c, (factors, n)
+            c = q
+    return c
+
+
+def leaf_rewrites(tree, new):
+    """Every tree made from ``tree`` by putting ``new`` in place of one leaf."""
+    out = []
+    for i, f in enumerate(tree.faces):
+        for l, cls in enumerate(f.classes):
+            for sub in [new] if isinstance(cls, Leaf) else leaf_rewrites(cls, new):
+                face = Face(f.a, f.b, f.classes[:l] + (sub,) + f.classes[l + 1:])
+                out.append(Bamboo(tree.faces[:i] + (face,) + tree.faces[i + 1:]))
+    return out
+
+
 def test_criterion_01_cusp_golden():
     annotated = annotate(CUSP)
     z = zeta_general(annotated)
@@ -192,11 +283,12 @@ def test_criterion_02_node_golden():
     print("criterion  2 PASS  node golden values")
 
 
-def test_criterion_03_closed_form_equals_oracle(tree_corpus):
-    for inst in tree_corpus:
+def test_criterion_03_closed_form_equals_oracle(tree_corpus, unit_tree_corpus):
+    for inst in tree_corpus + unit_tree_corpus:
         assert inst.zeta == inst.zeta_oracle
         assert inst.zmon == inst.zmon_oracle
-    print(f"criterion  3 PASS  closed form = oracle on {len(tree_corpus)} trees")
+    print(f"criterion  3 PASS  closed form = oracle on "
+          f"{len(tree_corpus) + len(unit_tree_corpus)} trees")
 
 
 def test_criterion_04_subdivision_independence(tree_corpus):
@@ -263,7 +355,7 @@ def test_criterion_08_monodromy_conjecture(tree_corpus, face_corpus):
 
 
 def test_criterion_09_structural_checks(tree_corpus, face_corpus):
-    expanded = wide = strided = 0
+    expanded = wide = strided = full = 0
     for inst in tree_corpus + face_corpus:
         zmon = inst.zmon
         delta = characteristic_poly(zmon, max_degree=EXPANSION_CAP)
@@ -279,8 +371,9 @@ def test_criterion_09_structural_checks(tree_corpus, face_corpus):
             expanded += 1
             c, mu = delta.coeffs, delta.mu
             assert len(c) == mu + 1
-            sign = 1 if c[0] == c[-1] else -1
-            assert all(c[j] == sign * c[mu - j] for j in range(mu + 1))
+            if mu <= FULL_EXPANSION_CAP:
+                assert list(c) == full_expansion(delta.cyclo.factors), delta.cyclo
+                full += 1
             # the coefficients against the product itself, in exact arithmetic
             for x in (2, -2, 3):
                 product = Fraction(1)
@@ -294,9 +387,10 @@ def test_criterion_09_structural_checks(tree_corpus, face_corpus):
             # exponents n > 1 with a common factor: expanded at a stride > 1
             strided += gcd(*(n for n, _ in delta.cyclo.factors if n > 1)) > 1
         assert chain_determinant_check(inst.graph) is None
-    assert expanded >= 100 and wide >= 1 and strided >= 1
-    print(f"criterion  9 PASS  delta polynomial, palindromic and equal to the "
-          f"product ({expanded} expansions, {strided} strided), chain determinants hold")
+    assert expanded >= 100 and wide >= 1 and strided >= 1 and full >= 100
+    print(f"criterion  9 PASS  delta polynomial equal to the product ({expanded} "
+          f"expansions, {strided} strided, {full} against a full expansion), "
+          f"chain determinants hold")
 
 
 def test_criterion_10_divisibility(tree_corpus, face_corpus):
@@ -333,9 +427,10 @@ def test_criterion_12_kouchnirenko_milnor_number(face_corpus, unit_face_lists):
     print(f"criterion 12 PASS  deg delta = Kouchnirenko's number on {len(lists)} face lists")
 
 
-def test_criterion_13_poles_from_rupture_divisors(tree_corpus, face_corpus, unit_face_lists):
+def test_criterion_13_poles_from_rupture_divisors(tree_corpus, face_corpus, unit_face_lists,
+                                                  unit_tree_corpus):
     order_two = 0
-    for inst in tree_corpus + face_corpus:
+    for inst in tree_corpus + face_corpus + unit_tree_corpus:
         orders = {p.value: p.order for p in poles(inst.zeta)}
         assert orders == rupture_poles(inst.graph)
         order_two += list(orders.values()).count(2)
@@ -345,6 +440,48 @@ def test_criterion_13_poles_from_rupture_divisors(tree_corpus, face_corpus, unit
         assert orders == rupture_poles(build_graph(tree)), specs
         order_two += list(orders.values()).count(2)
     assert order_two > 0
-    total = len(tree_corpus) + len(face_corpus) + len(unit_face_lists) + 1
+    total = len(tree_corpus) + len(face_corpus) + len(unit_face_lists) + 1 + len(unit_tree_corpus)
     print(f"criterion 13 PASS  poles and their orders from the rupture divisors on "
           f"{total} instances, {order_two} of order two")
+
+
+def test_criterion_14_milnor_number_and_n_from_puiseux_contacts(tree_corpus, unit_tree_corpus):
+    deep_units = 0
+    for inst in tree_corpus + unit_tree_corpus:
+        mu, mults = contact_oracle(inst.spec)
+        assert mu == characteristic_poly(inst.zmon, max_degree=0).mu, inst.spec
+        assert mults == {(bam.path, i): f.mult for bam in inst.annotated.bamboos
+                           for i, f in enumerate(bam.faces)}, inst.spec
+        deep_units += any(1 in (f.a, f.b) for bam in inst.annotated.bamboos[1:]
+                          for f in bam.faces)
+    assert deep_units >= 50
+    total = len(tree_corpus) + len(unit_tree_corpus)
+    print(f"criterion 14 PASS  mu and every N from the Puiseux contacts on {total} "
+          f"trees, {deep_units} with a 1 below the root")
+
+
+def test_non_minimal_encodings_keep_the_invariants(tree_corpus, unit_tree_corpus):
+    """A leaf may become the sub-bamboo [(1, q): leaf], and a one-face root
+    (a, b) with b > a >= 2 the face (1, b // a) over [(a, b % a)] with the
+    same classes: both describe the same germ, so zeta, Delta and mu stay."""
+    rng = random.Random(REWRITE_SEED)
+    rewrites = roots = 0
+    for inst in tree_corpus + unit_tree_corpus:
+        specs = []
+        if rng.randrange(3) == 0:
+            new = Bamboo((Face(1, rng.randint(1, 9), (LEAF,)),))
+            specs.append(rng.choice(leaf_rewrites(inst.spec, new)))
+        root, *rest = inst.spec.faces
+        if not rest and root.b > root.a >= 2:
+            sub = Bamboo((Face(root.a, root.b % root.a, root.classes),))
+            specs.append(Bamboo((Face(1, root.b // root.a, (sub,)),)))
+            roots += 1
+        rewrites += len(specs)
+        delta = characteristic_poly(inst.zmon, max_degree=0)
+        for spec in specs:
+            annotated = annotate(spec)
+            assert zeta_general(annotated) == inst.zeta, spec
+            assert characteristic_poly(monodromy_zeta(annotated), max_degree=0) == delta, spec
+    assert roots >= 50 and rewrites - roots >= 100
+    print(f"rewrites  PASS  zeta, delta and mu kept by {rewrites - roots} leaf and "
+          f"{roots} root rewrites")

@@ -5,6 +5,7 @@ import pytest
 from topzeta.equitree import (Bamboo, Face, LEAF, TreeJSONError, annotate,
                               annotate_faces, class_multiplicity,
                               tree_from_json, tree_to_json, validate)
+from topzeta.monodromy import characteristic_poly, monodromy_zeta
 
 CUSP = Bamboo((Face(2, 3, (LEAF,)),))
 TWO_PAIR = Bamboo((Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)),)),))
@@ -25,11 +26,13 @@ def test_validate_slope_order():
 
 
 def test_validate_small_entries():
-    diags = validate(Bamboo((Face(1, 1, (LEAF, LEAF)),)))
-    assert any(d.message == "a < 2" for d in diags)
-    assert any(d.message == "b < 2" for d in diags)
-    with pytest.raises(ValueError):
-        annotate(Bamboo((Face(1, 1, (LEAF, LEAF)),)))
+    assert [str(d) for d in validate(Bamboo((Face(0, 1, (LEAF,)),)))] == [
+        "a < 1 at path /faces/0"]
+    nested = Bamboo((Face(2, 3, (Bamboo((Face(1, 0, (LEAF,)),)),)),))
+    assert [str(d) for d in validate(nested)] == [
+        "b < 1 at path /faces/0/classes/0/faces/0"]
+    with pytest.raises(ValueError, match="^b < 1 at path /faces/0/classes/0/faces/0$"):
+        annotate(nested)
 
 
 def test_validate_nested_path():
@@ -127,11 +130,18 @@ def test_annotate_faces_rejects_bad_lists(faces, message):
     assert str(exc.value) == message
 
 
-def test_unit_entries_only_at_the_root_of_a_face_list():
-    tree = Bamboo((Face(1, 2, (LEAF,)),))
-    assert [str(d) for d in validate(tree)] == ["a < 2 at path /faces/0"]
-    with pytest.raises(ValueError, match="^a < 2 at path /faces/0$"):
-        annotate(tree)
+def test_unit_entries_at_every_depth():
+    # y = x^(3/2) + x^(7/4), Puiseux characteristic (4; 6, 7): its second
+    # Newton pair, in the chart of the first toric modification, is (2, 1)
+    puiseux = annotate(Bamboo((Face(2, 3, (Bamboo((Face(2, 1, (LEAF,)),)),)),)))
+    assert [(f.mult, f.nu) for b in puiseux.bamboos for f in b.faces] == [(12, 5), (26, 11)]
+    assert characteristic_poly(monodromy_zeta(puiseux)).mu == 16
+    # two cusps osculating past their characteristic exponent: two smooth
+    # branches through one point of the first divisor
+    cusps = annotate(Bamboo((Face(2, 3, (Bamboo((Face(1, 1, (LEAF, LEAF)),)),)),)))
+    assert [(f.mult, f.nu) for b in cusps.bamboos for f in b.faces] == [(12, 5), (14, 6)]
+    assert characteristic_poly(monodromy_zeta(cusps)).mu == 2 + 2 + 2 * 7 - 1
+    assert validate(Bamboo((Face(1, 2, (Bamboo((Face(1, 1, (LEAF,)),)),)),))) == []
     (face,) = annotate_faces([(1, 2, 1)]).root.faces
     assert (face.a, face.b, face.mult, face.nu) == (1, 2, 2, 3)
 

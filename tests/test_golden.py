@@ -9,8 +9,11 @@ with a smooth ``(1, 1)`` face, and two whose characteristic polynomial
 is expanded at a stride > 1: ``x^12 + y^12``, all on multiples of 12
 until ``(1 - t)`` runs last, and ``y^3 - x^10``, which divides at stride
 3 before ``(1 - t)``; ``y^3 - x^1001`` with ``--oracle``, one face
-whose graph sum runs over 337 divisors; and ``fuzz --count 20 --seed 7``,
-which pins the random tree generator and the hash of each tree it makes.
+whose graph sum runs over 337 divisors; ``fuzz --count 20 --seed 7``,
+which pins the random tree generator and the hash of each tree it makes;
+and, with ``--oracle``, the branch ``y = x^(3/2) + x^(7/4)`` of Puiseux
+characteristic (4; 6, 7), whose second Newton pair, in the chart of the
+first toric modification, is ``(2, 1)``.
 A change that means to keep the output must leave them as they are; one
 that means to change it regenerates them with
 ``PYTHONPATH=src python tests/test_golden.py`` and shows the difference.
@@ -40,6 +43,7 @@ CASES = {
     "stride-division": ["poly", "y^3 - x^10"],
     "deep-face-oracle": ["poly", "y^3 - x^1001", "--oracle"],
     "fuzz-seed7": ["fuzz", "--count", "20", "--seed", "7"],
+    "puiseux-467-oracle": ["tree", str(TREES / "puiseux_4_6_7.json"), "--oracle"],
 }
 
 
