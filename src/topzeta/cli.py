@@ -28,8 +28,8 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .equitree import (Bamboo, Face, LEAF, annotate, annotate_faces,
-                       tree_from_json, tree_to_json, validate)
+from .equitree import (Bamboo, Face, InvalidTreeError, LEAF, annotate, annotate_faces,
+                       tree_from_json, tree_to_json)
 from .monodromy import (CycloProduct, acampo_from_graph, characteristic_poly,
                         conjecture_report, monodromy_zeta)
 from .newton import (DegenerateCurveError, newton_faces, parse_poly,
@@ -121,7 +121,8 @@ def _conjecture_json(checks):
 
 
 def analyze_tree(spec: Bamboo, *, oracle: bool = False):
-    """Full report dict for a tree; second value is the exit code."""
+    """Full report dict for a tree; second value is the exit code.  An
+    invalid tree raises InvalidTreeError with every diagnostic."""
     inp = {"kind": "tree", "tree": tree_to_json(spec)}
     return _analyze(annotate(spec), inp, oracle)
 
@@ -392,13 +393,12 @@ def main(argv=None) -> int:
             except RecursionError:
                 print(f"error: {args.path} is nested too deeply to parse", file=sys.stderr)
                 return EXIT_INVALID
-            spec = tree_from_json(data)
-            problems = validate(spec)
-            if problems:
-                for diag in problems:
+            try:
+                report, code = analyze_tree(tree_from_json(data), oracle=args.oracle)
+            except InvalidTreeError as exc:
+                for diag in exc.problems:
                     print(f"error: {diag}", file=sys.stderr)
                 return EXIT_INVALID
-            report, code = analyze_tree(spec, oracle=args.oracle)
             out.write(_render(report, args.json))
             return code
 

@@ -73,6 +73,15 @@ class TreeJSONError(ValueError):
         self.path = path
 
 
+class InvalidTreeError(ValueError):
+    """A tree that fails validation: ``problems`` holds every diagnostic,
+    and the message is the first."""
+
+    def __init__(self, problems):
+        super().__init__(str(problems[0]))
+        self.problems = problems
+
+
 def validate(tree: Bamboo) -> list[Diagnostic]:
     """Check all structural constraints; empty list means valid."""
     out = []
@@ -162,7 +171,7 @@ class AnnotatedTree:
 def annotate(tree: Bamboo) -> AnnotatedTree:
     """Run the multiplicity recursion over the whole tree.
 
-    Raises ValueError when validation fails.  Within every bamboo the
+    Raises InvalidTreeError when validation fails.  Within every bamboo the
     suffix weight of the last face is zero, so its multiplicity is
     divisible by its a; in the root bamboo the multiplicity of the first
     face is divisible by its b.  Both facts are asserted here because the
@@ -170,7 +179,7 @@ def annotate(tree: Bamboo) -> AnnotatedTree:
     """
     problems = validate(tree)
     if problems:
-        raise ValueError(str(problems[0]))
+        raise InvalidTreeError(problems)
     bamboos = []
 
     def walk(bamboo, path, base_mult, base_nu):

@@ -19,18 +19,22 @@ contents, and is multiplied up before each division so that every quotient
 is an exact ``//``.  Terms with equal ``D`` are added in one group, and
 the groups once, over the lcm of their ``D``.
 
-The result is then canonicalized once, in integers, to the stored form
+Partial fractions are the stored form, ``RationalFunction.parts``: the
+polynomial part and the sorted residues as integers over one positive
+denominator, all divided by their common gcd.  That makes them unique, so
+equality and hashing compare them, and ``poles`` reads the orders off
+them.  The printed form
 
     scale * num(s) / prod (N*s + nu)^exp
 
 where ``scale`` is a rational number, ``num`` is a primitive integer
 polynomial with positive leading coefficient, and the denominator lists
-those factors, sorted by ``(N, nu)``, with their pole orders.  Equal
-functions compare equal structurally, which is what the differential
-tests against the resolution-graph oracle rely on; these three fields
-are also what the reports print and serialize, so they stay the stored
-form while partial fractions stay internal to the sum.  Any common
-denominator gives that form: ``num`` is primitive and ``scale`` reduced.
+those factors, sorted by ``(N, nu)``, with their pole orders, is derived
+on first read: ``den`` from the orders alone, ``scale`` and ``num`` by
+one canonicalization in integers.  Any common denominator gives that
+form, since ``num`` is primitive and ``scale`` reduced.  A function built
+from the printed form, as a report's JSON is read back, gets its parts
+only when first compared.
 
 The closed form ``zeta_general`` sums the per-bamboo contributions of an
 annotated tree, with one leaf term ``r / ((N s + nu)(s + 1))`` per face
@@ -50,11 +54,41 @@ from . import poly
 from .equitree import AnnotatedTree, Leaf, annotate_faces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalFunction:
+    """A rational function in s, in the forms of the module docstring.
+
+    ``rf_sum`` builds it from ``parts = (poly, residues, D)``: the
+    polynomial part, one ``(((N, nu), k), c)`` per nonzero residue
+    ``c / (N s + nu)^k`` in sorted order, and their denominator ``D``.
+    Either form is derived from the other when first read.
+    """
+
     scale: Fraction
     num: tuple[int, ...]
     den: tuple[tuple[tuple[int, int], int], ...]   # ((N, nu), exponent)
+
+    def __getattr__(self, name):
+        # reached only for a form not held yet, which is stored through
+        # __dict__ because the instance is frozen
+        fields = self.__dict__
+        if name == "parts":
+            fields[name] = rf(self.scale, self.num, self.den).parts
+        elif name == "den":     # residues are sorted: a factor's last power is its order
+            fields[name] = tuple({f: k for (f, k), _ in self.parts[1]}.items())
+        elif name in ("scale", "num"):
+            fields["scale"], fields["num"] = _canonical(self.parts, self.den)
+        else:
+            raise AttributeError(name)
+        return fields[name]
+
+    def __eq__(self, other):
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
 
     def __str__(self):
         if not self.num:
@@ -74,7 +108,7 @@ class RationalFunction:
             return head
         facs = []
         for (n, v), e in self.den:
-            base = f"({poly_str((v, n), 's')})"
+            base = f"({_linear_str(n, v)})"
             facs.append(base + (f"^{e}" if e > 1 else ""))
         return f"{head} / ({' * '.join(facs)})" if len(facs) > 1 else f"{head} / {facs[0]}"
 
@@ -87,6 +121,12 @@ class RationalFunction:
 
 
 ZERO = RationalFunction(Fraction(0), (), ())
+
+
+def _linear_str(n, v):
+    """``poly_str((v, n), "s")`` of a factor ``n s + v`` with ``n >= 1``."""
+    head = "s" if n == 1 else f"{n}*s"
+    return head if not v else f"{head} + {v}" if v > 0 else f"{head} - {-v}"
 
 
 class _TermHeads(dict):
@@ -116,7 +156,7 @@ def poly_str(coeffs, var):
 
 
 def rf(coef=1, num=(1,), den=()) -> RationalFunction:
-    """The canonical form of ``coef * num(s) / prod den``: a one-term sum.
+    """``coef * num(s) / prod den`` as a one-term sum.
 
     ``den`` entries are linear factors ``(N, nu)`` or ``((N, nu), exp)``.
     """
@@ -124,9 +164,8 @@ def rf(coef=1, num=(1,), den=()) -> RationalFunction:
 
 
 def rf_sum(terms) -> RationalFunction:
-    """Canonical form of a sum of terms ``(coef, num, den)``, each in the
-    format of ``rf``; the terms are added in partial fractions and the
-    total is canonicalized once."""
+    """Sum of terms ``(coef, num, den)``, each in the format of ``rf``,
+    added in partial fractions, which the result holds as its ``parts``."""
     groups = {}     # denominator -> [polynomial part, residues] over it
     for coef, num, den in terms:
         coef = coef if isinstance(coef, int) else Fraction(coef)
@@ -158,8 +197,12 @@ def rf_sum(terms) -> RationalFunction:
         poly_part = poly.add(poly_part, [c * k for c in p])
         for key, c in res.items():
             residues[key] = residues.get(key, 0) + c * k
-    residues = {key: c for key, c in residues.items() if c}
-    return _canonical(poly_part, residues, common)
+    residues = sorted(item for item in residues.items() if item[1])
+    content = gcd(common, *poly_part, *(c for _, c in residues))
+    z = object.__new__(RationalFunction)
+    z.__dict__["parts"] = (tuple(c // content for c in poly_part),
+                           tuple((key, c // content) for key, c in residues), common // content)
+    return z
 
 
 def _divide(p, res, denom, g):
@@ -197,18 +240,15 @@ def _divide(p, res, denom, g):
     return q, out, denom * scale
 
 
-def _canonical(poly_part, residues, denominator) -> RationalFunction:
-    """``(scale, num, den)`` of a sum in partial fractions whose integer
-    coefficients are all over ``denominator``.  ``num / D`` starts at
-    ``p / 1`` and takes in one factor ``f`` of pole order ``e`` at a time
-    as ``(num f^e + D sum_k c_k f^(e - k)) / (D f^e)``; the numerator is
-    then cleared of its content."""
+def _canonical(parts, den):
+    """``(scale, num)`` of ``parts`` with denominator ``den``.  ``num / D``
+    starts at ``p / 1`` and takes in one factor ``f`` of pole order ``e``
+    at a time as ``(num f^e + D sum_k c_k f^(e - k)) / (D f^e)``; the
+    numerator is then cleared of its content."""
+    poly_part, residues, denominator = parts
     if not poly_part and not residues:
-        return ZERO
-    orders = {}
-    for f, k in residues:
-        orders[f] = max(orders.get(f, 0), k)
-    den = sorted(orders.items())
+        return Fraction(0), ()
+    residues = dict(residues)
     num, full = poly_part, [1]
     for (n, v), e in den:
         power, inner = [1], []
@@ -219,8 +259,7 @@ def _canonical(poly_part, residues, denominator) -> RationalFunction:
         num = poly.add(poly.mul(num, power), poly.mul(inner, full))
         full = poly.mul(full, power)
     content = gcd(*num) if num[-1] > 0 else -gcd(*num)
-    return RationalFunction(Fraction(content, denominator),
-                            tuple(c // content for c in num), tuple(den))
+    return Fraction(content, denominator), tuple(c // content for c in num)
 
 
 class Pole(NamedTuple):
@@ -237,8 +276,8 @@ class Candidate(NamedTuple):
 def poles(z: RationalFunction) -> list[Pole]:
     """Denominator roots with their orders, sorted by value.
 
-    The stored exponent of a factor is the highest power with a nonzero
-    residue, so it is exactly the order of the pole at -nu/N.
+    The exponent of a factor in ``den`` is the highest power with a
+    nonzero residue, so it is exactly the order of the pole at -nu/N.
     """
     out = [Pole(Fraction(-v, n), e) for (n, v), e in z.den]
     out.sort(key=lambda p: p.value)

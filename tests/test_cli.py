@@ -3,11 +3,12 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from face_specs import random_face_specs
-from topzeta import cli, newton
+from topzeta import cli, equitree, newton, zeta
 from topzeta.cli import (EXIT_DEGENERATE, EXIT_INCONSISTENT, EXIT_INVALID,
                          EXIT_OK, EXIT_USAGE, analyze_poly,
                          analyze_tree, check_instance, main, random_tree,
@@ -19,6 +20,7 @@ from topzeta.resolution import build_graph, definitional_zeta
 from topzeta.zeta import zeta_general
 
 CUSP_JSON = {"faces": [{"a": 2, "b": 3, "classes": ["leaf"]}]}
+THREE_LEVEL_PATH = Path(__file__).parent / "golden" / "trees" / "three_level.json"
 
 
 @pytest.fixture
@@ -75,6 +77,52 @@ def test_tree_command_invalid_tree(tmp_path, capsys):
     path.write_text(json.dumps({"faces": [{"a": 2, "b": 4, "classes": ["leaf"]}]}))
     assert main(["tree", str(path)]) == EXIT_INVALID
     assert "gcd" in capsys.readouterr().err
+
+
+def test_tree_command_prints_every_diagnostic(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"faces": [
+        {"a": 0, "b": 3, "classes": ["leaf"]},
+        {"a": 2, "b": 4, "classes": [{"faces": []}]}]}))
+    assert main(["tree", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: a < 1 at path /faces/0\n"
+        "error: gcd(a,b) != 1 at path /faces/1\n"
+        "error: slope order violated at path /faces/1\n"
+        "error: bamboo has no faces at path /faces/1/classes/0/faces\n")
+
+
+def test_tree_command_validates_the_tree_once(monkeypatch, capsys):
+    roots = []
+    validate_bamboo = equitree._validate_bamboo
+
+    def counted(bamboo, path, out):
+        if path == "":
+            roots.append(bamboo)
+        validate_bamboo(bamboo, path, out)
+
+    monkeypatch.setattr(equitree, "_validate_bamboo", counted)
+    assert main(["tree", str(THREE_LEVEL_PATH)]) == EXIT_OK
+    assert len(roots) == 1
+
+
+@pytest.mark.parametrize("tree", [CUSP_JSON, json.loads(THREE_LEVEL_PATH.read_text())],
+                         ids=["cusp", "three_level"])
+def test_check_instance_derives_no_printed_form(monkeypatch, tree):
+    # the fuzz checks compare zeta functions and read their poles in
+    # partial fractions; only a report prints scale * num / den
+    printed = []
+    canonical = zeta._canonical
+
+    def counted(*args):
+        printed.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(zeta, "_canonical", counted)
+    assert all(check_instance(tree_from_json(tree), ray_seed=1).values())
+    assert printed == []
+    analyze_tree(tree_from_json(tree))
+    assert len(printed) == 1
 
 
 def test_tree_command_missing_file(capsys):

@@ -12,6 +12,7 @@ files are imported without writing bytecode next to them.
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +67,11 @@ def test_fuzz_checks_of_the_benchmark_pass(perfbench, tree):
     with spans.recording(cli, checks.FUZZ_RECORDED) as calls:
         cli.check_instance(spec, ray_seed=1)
     assert checks.check_fuzz_values(calls, oracle.tree_graph(tree)) == []
+
+
+def test_benchmark_selftest_passes():
+    # the self-test replaces fields of recorded zeta results with
+    # dataclasses.replace and reads their scale, num and den
+    done = subprocess.run([sys.executable, "-B", "perfbench/selftest.py"],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

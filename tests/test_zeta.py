@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.zeta import (ZERO, candidate_poles, poles, poly_str, rf, rf_sum,
-                          zeta_general, zeta_nondegenerate)
+from topzeta.zeta import (ZERO, Pole, RationalFunction, _linear_str, candidate_poles,
+                          poles, poly_str, rf, rf_sum, zeta_general, zeta_nondegenerate)
 
 
 def annotated(*faces):
@@ -71,7 +71,7 @@ def test_rf_zero_and_scalars():
     assert rf(0) == ZERO
     assert rf_sum([(3, (1,), ()), (-3, (1,), ())]) == ZERO
     assert rf_sum([term(ZERO), term(rf(7))]) == rf(7)
-    assert rf_sum([]) == ZERO
+    assert rf_sum([]) == ZERO and hash(rf_sum([])) == hash(ZERO)
 
 
 def test_rf_rejects_zero_factor():
@@ -127,6 +127,25 @@ def test_rf_ring_laws(terms, rnd, cut):
         assert sum(c * Fraction(-v, n) ** i for i, c in enumerate(z.num)) != 0
 
 
+def negated(terms):
+    return [(-coef, num, den) for coef, num, den in terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_terms(), max_size=6), st.lists(small_terms(), max_size=6))
+def test_partial_fractions_and_printed_form_give_one_equality(a, b):
+    # a sum holds partial fractions, a function built from (scale, num,
+    # den) holds the printed form; both compare and hash alike
+    za, zb = rf_sum(a), rf_sum(b)
+    for other in (zb, rf_sum(b + a + negated(b))):
+        assert (za == other) == (term(za) == term(other))
+    assert rf_sum(a + negated(a)) == ZERO
+    for z in (za, zb):
+        printed = RationalFunction(z.scale, z.num, z.den)
+        assert printed == z and hash(printed) == hash(z)
+        assert poles(z) == sorted(Pole(Fraction(-v, n), e) for (n, v), e in printed.den)
+
+
 # --- text form of a polynomial ----------------------------------------------
 
 def poly_str_per_term(coeffs, var):
@@ -161,6 +180,14 @@ def test_poly_str_matches_the_per_term_printer():
         for var in ("s", "t"):
             assert poly_str(coeffs, var) == poly_str_per_term(coeffs, var), coeffs
             assert poly_str(tuple(coeffs), var) == poly_str_per_term(coeffs, var)
+
+
+def test_denominator_factors_print_as_poly_str():
+    assert [_linear_str(n, v) for n, v in ((1, 1), (6, 5), (1, -2), (3, 0))] == [
+        "s + 1", "6*s + 5", "s - 2", "3*s"]
+    for n in range(1, 41):
+        for v in range(-40, 41):
+            assert _linear_str(n, v) == poly_str((v, n), "s"), (n, v)
 
 
 # --- closed forms ------------------------------------------------------------
