@@ -120,16 +120,21 @@ def insert_rays(sub: Subdivision, extra) -> Subdivision:
     """Refine a subdivision so it also contains the given rays.
 
     Every extra ray must lie strictly inside one of the cones of ``sub``;
-    a ray equal to an existing one is rejected.  Gaps opened by the new
-    rays are re-regularized with minimal_regular_refinement.
+    a ray equal to an existing one, or given twice, is rejected.  Only the
+    cone that holds a new ray changes: its closure with the ray fills it.
+    Rays are placed by increasing ``a + b``, so none is an ancestor of
+    one placed before it.  Raises TooManyRays with the first ray past
+    MAX_DIVISORS of the whole subdivision.
     """
     rays = [X_FRAME, *sub.vectors, Y_FRAME]
-    for w in extra:
+    for w in sorted(extra, key=lambda w: w.a + w.b):
         i = bisect_left(rays, w)
         if rays[i] == w:
             raise ValueError(f"ray {w} already present")
-        rays.insert(i, w)
-    return Subdivision(_regularize(rays))
+        rays[i:i] = _regularize([rays[i - 1], w, rays[i]])
+        if len(rays) - 2 > MAX_DIVISORS:
+            raise TooManyRays(rays[MAX_DIVISORS + 1])
+    return Subdivision(rays[1:-1])
 
 
 def _regularize(rays) -> list:

@@ -153,14 +153,10 @@ def definitional_zeta(graph: ResolutionGraph) -> RationalFunction:
     """Stratified sum over the graph; the ground truth the closed forms
     are tested against.  Strata consisting of a branch alone are skipped:
     they do not lie over the origin (and carry chi zero anyway)."""
-    nodes = graph.nodes
-    terms = []
-    for n in nodes:
-        if n.kind == "exceptional" and n.chi:
-            terms.append((n.chi, (1,), [(n.mult, n.nu)]))
-    for u, v in graph.edges:
-        terms.append((1, (1,), [(nodes[u].mult, nodes[u].nu),
-                                (nodes[v].mult, nodes[v].nu)]))
+    factors = [(n.mult, n.nu) for n in graph.nodes]     # node ids are indices
+    terms = [(n.chi, (1,), (factors[n.id],)) for n in graph.nodes
+             if n.kind == "exceptional" and n.chi]
+    terms += [(1, (1,), (factors[u], factors[v])) for u, v in graph.edges]
     return rf_sum(terms)
 
 

@@ -19,6 +19,16 @@ contents, and is multiplied up before each division so that every quotient
 is an exact ``//``.  Terms with equal ``D`` are added in one group, and
 the groups once, over the lcm of their ``D``.
 
+Every term of the closed form and of the oracle's strata is a constant
+``c`` over one linear factor or two.  Over one primitive factor ``f``,
+or two distinct ones ``f g``, it is split in one step, without a
+division: ``c`` is the residue at ``f``, or ``c n / d`` at ``f`` and
+``-c m / d`` at ``g``, the sign of ``d`` moved into ``c`` and ``|d|``
+into ``D``.  These are the residues the division gives, and partial
+fractions are unique, so the sum's parts do not depend on which way a
+term went.  A polynomial numerator or a repeated primitive factor
+(``d = 0``, on the chain of a double pole) is divided as above.
+
 Partial fractions are the stored form, ``RationalFunction.parts``: the
 polynomial part and the sorted residues as integers over one positive
 denominator, all divided by their common gcd.  That makes them unique, so
@@ -182,6 +192,25 @@ def rf_sum(terms) -> RationalFunction:
             denom *= g ** e
             if n:
                 factors += [(n // g, v // g)] * e
+        if len(num) == 1 and (len(factors) == 1 or
+                              len(factors) == 2 and factors[0] != factors[1]):
+            # c / f, or c / (f g) = (n / f - m / g) c / d, split in one step
+            a *= num[0]
+            f = factors[0]
+            if len(factors) == 2:
+                (n, v), g = f, factors[1]
+                m, mu = g
+                d = n * mu - m * v
+                if d < 0:
+                    a, d = -a, -d
+                denom *= d
+                res = groups.setdefault(denom, [[], {}])[1]
+                res[g, 1] = res.get((g, 1), 0) - a * m
+                a *= n
+            else:
+                res = groups.setdefault(denom, [[], {}])[1]
+            res[f, 1] = res.get((f, 1), 0) + a
+            continue
         p, res = [a * c for c in num], {}
         for f in factors:
             p, res, denom = _divide(p, res, denom, f)
@@ -194,7 +223,8 @@ def rf_sum(terms) -> RationalFunction:
     poly_part, residues = [], {}
     for denom, (p, res) in groups.items():
         k = common // denom
-        poly_part = poly.add(poly_part, [c * k for c in p])
+        if p:
+            poly_part = poly.add(poly_part, [c * k for c in p])
         for key, c in res.items():
             residues[key] = residues.get(key, 0) + c * k
     residues = sorted(item for item in residues.items() if item[1])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from topzeta.lattice import (MAX_DIVISORS, PrimitiveVector, Subdivision,
                              TooManyRays, X_FRAME, Y_FRAME,
-                             admissible_subdivision, det, insert_rays,
-                             minimal_regular_refinement)
+                             _regularize, admissible_subdivision, det,
+                             insert_rays, minimal_regular_refinement)
 
 
 def pv(a, b):
@@ -252,6 +252,11 @@ def test_insert_rays_examples():
     with pytest.raises(ValueError):
         insert_rays(base, [pv(1, 1)])
 
+    # (1, 1) is an ancestor of (2, 3): given with it, in either order, it
+    # is not a repeat
+    for extra in ([pv(2, 3), pv(1, 1)], [pv(1, 1), pv(2, 3)]):
+        assert insert_rays(Subdivision(()), extra).vectors == (pv(1, 1), pv(2, 3), pv(1, 2))
+
 
 def test_insert_rays_re_regularizes():
     # (7,9) splits the cone between (1,1) and (2,3) into gaps of det 2 and 3
@@ -259,6 +264,48 @@ def test_insert_rays_re_regularizes():
     finer = insert_rays(base, [pv(7, 9)])
     check_subdivision(finer, base.vectors)
     assert pv(7, 9) in finer.vectors
+
+
+def ray_in_cone(rays, j, rng):
+    """A random primitive ray strictly inside the cone rays[j], rays[j+1]
+    of a regular subdivision, frames included."""
+    u, v = rays[j], rays[j + 1]
+    p, q = rng.randint(1, 9), rng.randint(1, 9)
+    g = gcd(p, q)
+    return pv((p * u.a + q * v.a) // g, (p * u.b + q * v.b) // g)
+
+
+def test_insert_rays_matches_the_full_re_regularization():
+    # insert_rays fills only the cones that hold the new rays; the result
+    # must be the regularization of the sorted union from frame to frame.
+    # 1-4 rays per call, drawn from random cones, the frame cones among
+    # them, and often one an ancestor of another
+    rng = random.Random(14)
+    low_frame = high_frame = nested = 0
+    for cap in (5, 20, 200, 3000):
+        for _ in range(100):
+            rays = set()
+            while len(rays) < rng.randint(1, 5):
+                a, b = rng.randint(1, cap), rng.randint(1, cap)
+                if gcd(a, b) == 1:
+                    rays.add(pv(a, b))
+            sub = admissible_subdivision(sorted(rays))
+            chain = [X_FRAME, *sub.vectors, Y_FRAME]
+            cones = [rng.choice((0, len(chain) - 2, rng.randrange(len(chain) - 1)))
+                     for _ in range(rng.randint(1, 4))]
+            low_frame += 0 in cones
+            high_frame += len(chain) - 2 in cones
+            extra = list({ray_in_cone(chain, j, rng): None for j in cones})
+            union = sorted({*sub.vectors, *extra})
+            want = tuple(_regularize([X_FRAME, *union, Y_FRAME]))
+            assert insert_rays(sub, extra).vectors == want, (sub, extra)
+            nested += any(w in insert_rays(sub, [x]).vectors
+                          for w in extra for x in extra if w != x)
+            with pytest.raises(ValueError, match="already present"):
+                insert_rays(sub, [*extra, rng.choice(sub.vectors)])
+            with pytest.raises(ValueError, match="already present"):
+                insert_rays(sub, [*extra, rng.choice(extra)])
+    assert low_frame > 100 and high_frame > 100 and nested > 20
 
 
 def test_subdivision_regularity_enforced():

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topzeta import poly
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.zeta import (ZERO, Pole, RationalFunction, _linear_str, candidate_poles,
+from topzeta.zeta import (ZERO, Pole, RationalFunction, _divide, _linear_str, candidate_poles,
                           poles, poly_str, rf, rf_sum, zeta_general, zeta_nondegenerate)
 
 
@@ -144,6 +145,96 @@ def test_partial_fractions_and_printed_form_give_one_equality(a, b):
         printed = RationalFunction(z.scale, z.num, z.den)
         assert printed == z and hash(printed) == hash(z)
         assert poles(z) == sorted(Pole(Fraction(-v, n), e) for (n, v), e in printed.den)
+
+
+# --- a stratum's term is split in one step -----------------------------------
+
+def divided_term(coef, num, den):
+    """``(p, res, D)`` of one term as the sum once computed it for every
+    term: each primitive factor divided in through ``zeta._divide``."""
+    coef = Fraction(coef)
+    p, res, denom = [coef.numerator * c for c in num], {}, coef.denominator
+    for (n, v), e in factors(den):
+        g = gcd(n, v) if n > 0 else -gcd(n, v) if n else v
+        denom *= g ** e
+        for _ in range(e if n else 0):
+            p, res, denom = _divide(p, res, denom, (n // g, v // g))
+    return p, res, denom
+
+
+def reference_parts(terms):
+    """``parts`` of the sum of ``divided_term`` of each term, added as
+    fractions and put over their least common denominator."""
+    poly_part, residues = [], {}
+    for t in terms:
+        p, res, denom = divided_term(*t)
+        poly_part = poly.add(poly_part, [Fraction(c, denom) for c in p])
+        for key, c in res.items():
+            residues[key] = residues.get(key, 0) + Fraction(c, denom)
+    residues = sorted((key, c) for key, c in residues.items() if c)
+    common = lcm(*(c.denominator for c in (*poly_part, *(c for _, c in residues))))
+    return (tuple(int(c * common) for c in poly_part),
+            tuple((key, int(c * common)) for key, c in residues), common)
+
+
+def random_stratum_term(rng):
+    """A constant over one linear factor or two: an integer or Fraction
+    coefficient, factors with a content of 1-4, N of either sign or zero,
+    now and then in the ``((N, nu), 1)`` form, and in one pair out of
+    six the same primitive factor twice, with two contents."""
+    def primitive():
+        while True:
+            f = rng.randint(-5, 5), rng.randint(-5, 5)
+            if gcd(*f) == 1:
+                return f
+
+    def linear(f):
+        c = rng.randint(1, 4)
+        item = (f[0] * c, f[1] * c)
+        return (item, 1) if rng.random() < 0.2 else item
+
+    coef = rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 6))))
+    f = primitive()
+    den = [linear(f)]
+    if rng.random() < 0.75:
+        den.append(linear(f if rng.random() < 1 / 6 else primitive()))
+    return coef, (rng.randint(-3, 3),), den
+
+
+def stratum_shapes(coef, num, den):
+    """The forms a term of random_stratum_term takes, by name."""
+    shapes = {"fraction"} if Fraction(coef).denominator > 1 else set()
+    prim = []
+    for (n, v), _ in factors(den):
+        g = gcd(n, v)
+        shapes |= {"content"} if g > 1 else set()
+        shapes |= {"N = 0"} if n == 0 else {"N < 0"} if n < 0 else set()
+        if n:
+            prim.append((n // g, v // g) if n > 0 else (-n // g, -v // g))
+    if len(prim) == 2:
+        (n, v), (m, mu) = prim
+        d = n * mu - m * v
+        shapes.add("d < 0" if d < 0 else "d > 0" if d > 0 else "d = 0")
+    return shapes
+
+
+def test_stratum_terms_split_as_divided_one_factor_at_a_time():
+    # the one-step split must give the parts of the division it replaces,
+    # term by term and in sums, mixed with terms of higher numerators
+    rng = random.Random(14)
+    seen = dict.fromkeys(("fraction", "content", "N = 0", "N < 0",
+                          "d < 0", "d > 0", "d = 0"), 0)
+    for _ in range(1500):
+        terms = [random_stratum_term(rng) for _ in range(rng.randint(1, 5))]
+        for t in terms:
+            assert rf_sum([t]).parts == reference_parts([t]), t
+            for shape in stratum_shapes(*t):
+                seen[shape] += 1
+        if rng.random() < 0.2:
+            coef, _, den = random_stratum_term(rng)
+            terms.append((coef, (rng.randint(-3, 3), rng.randint(1, 3)), den))
+        assert rf_sum(terms).parts == reference_parts(terms), terms
+    assert min(seen.values()) > 100, seen
 
 
 # --- text form of a polynomial ----------------------------------------------
