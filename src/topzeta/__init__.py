@@ -25,6 +25,6 @@ from .resolution import (ChainViolation, DivisorNode, ResolutionGraph,
                          build_graph, build_graph_nondegenerate,
                          chain_determinant_check, definitional_zeta)
 from .zeta import (Candidate, Pole, RationalFunction, candidate_poles, poles,
-                   rf, rf_sum, zeta_general, zeta_nondegenerate)
+                   rf_sum, zeta_general, zeta_nondegenerate)
 
 __version__ = "0.1.0"

@@ -13,9 +13,10 @@ are ``2 - degree`` for the exceptional curves.
 ``definitional_zeta`` then evaluates the stratified sum
 ``sum chi(E_I°) * prod 1/(N_i s + nu_i)`` over the strata meeting the
 fiber over the origin: vertex strata of exceptional curves and all edge
-strata.  The result must agree exactly with the closed forms, and must
-not move when extra rays are inserted; both facts are what the test
-suite drives.
+strata, each the ``zeta.rf_sum`` term ``(chi, (f,))`` or ``(1, (f, g))``
+of its divisors' ``f, g = (N, nu)``.  The result must agree exactly with
+the closed forms, and must not move when extra rays are inserted; both
+facts are what the test suite drives.
 
 A Newton-nondegenerate face list is the one-bamboo tree built by
 ``equitree.annotate_faces``, so ``build_graph`` covers it too, smooth
@@ -154,9 +155,9 @@ def definitional_zeta(graph: ResolutionGraph) -> RationalFunction:
     are tested against.  Strata consisting of a branch alone are skipped:
     they do not lie over the origin (and carry chi zero anyway)."""
     factors = [(n.mult, n.nu) for n in graph.nodes]     # node ids are indices
-    terms = [(n.chi, (1,), (factors[n.id],)) for n in graph.nodes
+    terms = [(n.chi, (factors[n.id],)) for n in graph.nodes
              if n.kind == "exceptional" and n.chi]
-    terms += [(1, (1,), (factors[u], factors[v])) for u, v in graph.edges]
+    terms += [(1, (factors[u], factors[v])) for u, v in graph.edges]
     return rf_sum(terms)
 
 

@@ -1,39 +1,36 @@
 """Exact rational functions in one variable s and the topological zeta forms.
 
-Every zeta function here is a sum of terms ``c * num(s) / prod (N*s + nu)``
-(the closed form's per-face terms, the oracle's strata).  ``rf_sum`` adds
-them in partial fractions: a polynomial part plus a residue map
-``((N, nu), k) -> c`` over primitive linear factors with ``N >= 1``, zero
-entries dropped.  Two primitives build that form.  Dividing by a linear
-factor ``g`` is synthetic division on the polynomial part, a power raised
-on a residue at ``g`` itself, and on any other ``f = N s + nu`` the split
+On a surface every stratum ``E_I°`` of a resolution meets at most two
+divisors, so every term of Denef--Loeser's formula
 
-    1 / (f g) = (N / f - M / g) / d,   g = M s + mu,   d = N mu - M nu,
+    Z_top(s) = sum chi(E_I°) prod_(i in I) 1 / (N_i s + nu_i)
 
-applied once per power of ``f``.  Partial fractions are unique, so the
-sum needs no cancellation step: a pole is a factor with a nonzero
-residue, and its order is the highest power whose residue is nonzero.
-The sum runs in integers.  A term is kept over one integer denominator
-``D``, at first its coefficient's denominator times its factors'
-contents, and is multiplied up before each division so that every quotient
-is an exact ``//``.  Terms with equal ``D`` are added in one group, and
-the groups once, over the lcm of their ``D``.
+is a rational constant over one linear factor or two, and so is every
+term of the closed form read off the toric-modification graph.
+``rf_sum`` adds such stratum terms ``(c, (f,))`` and ``(c, (f, g))``,
+with ``f, g = (N, nu)``, in partial fractions: a residue map
+``((N, nu), k) -> c`` over primitive linear factors with ``N >= 1``,
+zero entries dropped.  Each term is split in one step.  A factor's
+content and sign move into the term's integer denominator ``D``, at
+first the coefficient's denominator, and a factor with ``N = 0`` moves
+there whole.  What is left is one primitive factor ``f``, where ``c`` is
+the residue at ``f``; or two, ``f = N s + nu`` and ``g = M s + mu``,
+split by
 
-Every term of the closed form and of the oracle's strata is a constant
-``c`` over one linear factor or two.  Over one primitive factor ``f``,
-or two distinct ones ``f g``, it is split in one step, without a
-division: ``c`` is the residue at ``f``, or ``c n / d`` at ``f`` and
-``-c m / d`` at ``g``, the sign of ``d`` moved into ``c`` and ``|d|``
-into ``D``.  These are the residues the division gives, and partial
-fractions are unique, so the sum's parts do not depend on which way a
-term went.  A polynomial numerator or a repeated primitive factor
-(``d = 0``, on the chain of a double pole) is divided as above.
+    1 / (f g) = (N / f - M / g) / d,   d = N mu - M nu,
+
+with ``d`` moved into ``D``, which may be negative; or, when
+``f = g`` (``d = 0``, on the chain of a double pole), the residue ``c``
+at ``f^2``.  Partial fractions are unique, so the sum needs no
+cancellation step: a pole is a factor with a nonzero residue, and its
+order is the highest power whose residue is nonzero.  The sum runs in
+integers: terms with equal ``D`` are added in one group, and the groups
+once, over the lcm of their ``D``.
 
 Partial fractions are the stored form, ``RationalFunction.parts``: the
-polynomial part and the sorted residues as integers over one positive
-denominator, all divided by their common gcd.  That makes them unique, so
-equality and hashing compare them, and ``poles`` reads the orders off
-them.  The printed form
+sorted residues as integers over one positive denominator, all divided
+by their common gcd.  That makes them unique, so equality compares them,
+and ``poles`` reads the orders off them.  The printed form
 
     scale * num(s) / prod (N*s + nu)^exp
 
@@ -43,8 +40,8 @@ those factors, sorted by ``(N, nu)``, with their pole orders, is derived
 on first read: ``den`` from the orders alone, ``scale`` and ``num`` by
 one canonicalization in integers.  Any common denominator gives that
 form, since ``num`` is primitive and ``scale`` reduced.  A function built
-from the printed form, as a report's JSON is read back, gets its parts
-only when first compared.
+from the printed form, as a report's JSON is read back, has no parts; it
+compares by its printed form.
 
 The closed form ``zeta_general`` sums the per-bamboo contributions of an
 annotated tree, with one leaf term ``r / ((N s + nu)(s + 1))`` per face
@@ -68,10 +65,13 @@ from .equitree import AnnotatedTree, Leaf, annotate_faces
 class RationalFunction:
     """A rational function in s, in the forms of the module docstring.
 
-    ``rf_sum`` builds it from ``parts = (poly, residues, D)``: the
-    polynomial part, one ``(((N, nu), k), c)`` per nonzero residue
-    ``c / (N s + nu)^k`` in sorted order, and their denominator ``D``.
-    Either form is derived from the other when first read.
+    ``rf_sum`` builds it from ``parts = (residues, D)``: one
+    ``(((N, nu), k), c)`` per nonzero residue ``c / (N s + nu)^k`` in
+    sorted order, and their denominator ``D``; the printed form is
+    derived from them when first read.  One built from ``(scale, num,
+    den)`` has the printed form only.  Two functions with parts compare
+    by them, any other pair by the printed form; both ways, equal
+    functions have equal ``den``, which is what ``hash`` reads.
     """
 
     scale: Fraction
@@ -79,13 +79,13 @@ class RationalFunction:
     den: tuple[tuple[tuple[int, int], int], ...]   # ((N, nu), exponent)
 
     def __getattr__(self, name):
-        # reached only for a form not held yet, which is stored through
-        # __dict__ because the instance is frozen
+        # reached only for a printed field of a function built from parts,
+        # stored through __dict__ because the instance is frozen
         fields = self.__dict__
-        if name == "parts":
-            fields[name] = rf(self.scale, self.num, self.den).parts
-        elif name == "den":     # residues are sorted: a factor's last power is its order
-            fields[name] = tuple({f: k for (f, k), _ in self.parts[1]}.items())
+        if "parts" not in fields:
+            raise AttributeError(name)
+        if name == "den":       # residues are sorted: a factor's last power is its order
+            fields[name] = tuple({f: k for (f, k), _ in self.parts[0]}.items())
         elif name in ("scale", "num"):
             fields["scale"], fields["num"] = _canonical(self.parts, self.den)
         else:
@@ -95,10 +95,12 @@ class RationalFunction:
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.parts == other.parts
+        if "parts" in self.__dict__ and "parts" in other.__dict__:
+            return self.parts == other.parts
+        return (self.scale, self.num, self.den) == (other.scale, other.num, other.den)
 
     def __hash__(self):
-        return hash(self.parts)
+        return hash(self.den)
 
     def __str__(self):
         if not self.num:
@@ -165,121 +167,65 @@ def poly_str(coeffs, var):
     return "".join(terms)
 
 
-def rf(coef=1, num=(1,), den=()) -> RationalFunction:
-    """``coef * num(s) / prod den`` as a one-term sum.
-
-    ``den`` entries are linear factors ``(N, nu)`` or ``((N, nu), exp)``.
-    """
-    return rf_sum([(coef, num, den)])
-
-
 def rf_sum(terms) -> RationalFunction:
-    """Sum of terms ``(coef, num, den)``, each in the format of ``rf``,
-    added in partial fractions, which the result holds as its ``parts``."""
-    groups = {}     # denominator -> [polynomial part, residues] over it
-    for coef, num, den in terms:
+    """Sum of stratum terms ``(c, den)``: a rational ``c`` over the one or
+    two linear factors ``(N, nu)`` of ``den``, at least one of them with
+    ``N != 0``, added in partial fractions, which the result holds as its
+    ``parts``.  Any other term raises ``ValueError``."""
+    groups = {}     # denominator -> residues over it
+    for coef, den in terms:
         coef = coef if isinstance(coef, int) else Fraction(coef)
         a, denom, factors = coef.numerator, coef.denominator, []
-        for item in den:
-            (n, v), e = item if isinstance(item[0], tuple) else (item, 1)
+        if len(den) > 2:
+            raise ValueError("a stratum term has one or two factors")
+        for n, v in den:
             if (n, v) == (0, 0):
                 raise ValueError("(0, 0) is not a linear factor")
-            if e < 0:
-                raise ValueError("denominator exponents must be positive")
             # the content and sign of the factor, or all of it when N = 0,
             # move into the denominator, which may be negative
             g = gcd(n, v) if n > 0 else -gcd(n, v) if n else v
-            denom *= g ** e
+            denom *= g
             if n:
-                factors += [(n // g, v // g)] * e
-        if len(num) == 1 and (len(factors) == 1 or
-                              len(factors) == 2 and factors[0] != factors[1]):
-            # c / f, or c / (f g) = (n / f - m / g) c / d, split in one step
-            a *= num[0]
-            f = factors[0]
-            if len(factors) == 2:
-                (n, v), g = f, factors[1]
-                m, mu = g
-                d = n * mu - m * v
-                if d < 0:
-                    a, d = -a, -d
-                denom *= d
-                res = groups.setdefault(denom, [[], {}])[1]
-                res[g, 1] = res.get((g, 1), 0) - a * m
-                a *= n
-            else:
-                res = groups.setdefault(denom, [[], {}])[1]
-            res[f, 1] = res.get((f, 1), 0) + a
-            continue
-        p, res = [a * c for c in num], {}
-        for f in factors:
-            p, res, denom = _divide(p, res, denom, f)
-        group = groups.setdefault(denom, [[], {}])
-        if p:
-            group[0] = poly.add(group[0], p)
-        for key, c in res.items():
-            group[1][key] = group[1].get(key, 0) + c
+                factors.append((n // g, v // g))
+        if not factors:
+            raise ValueError("a stratum term needs a factor with N != 0")
+        f = factors[0]
+        if len(factors) == 2 and f != factors[1]:
+            # c / (f g) = (n / f - m / g) c / d, d = n mu - m v
+            (n, v), g = f, factors[1]
+            m, mu = g
+            d = n * mu - m * v
+            res = groups.setdefault(denom * d, {})
+            res[g, 1] = res.get((g, 1), 0) - a * m
+            a *= n
+            key = f, 1
+        else:   # c / f, or c / f^2 on the chain of a double pole
+            res = groups.setdefault(denom, {})
+            key = f, len(factors)
+        res[key] = res.get(key, 0) + a
     common = lcm(*groups)
-    poly_part, residues = [], {}
-    for denom, (p, res) in groups.items():
+    residues = {}
+    for denom, res in groups.items():
         k = common // denom
-        if p:
-            poly_part = poly.add(poly_part, [c * k for c in p])
         for key, c in res.items():
             residues[key] = residues.get(key, 0) + c * k
     residues = sorted(item for item in residues.items() if item[1])
-    content = gcd(common, *poly_part, *(c for _, c in residues))
+    content = gcd(common, *(c for _, c in residues))
     z = object.__new__(RationalFunction)
-    z.__dict__["parts"] = (tuple(c // content for c in poly_part),
-                           tuple((key, c // content) for key, c in residues), common // content)
+    z.__dict__["parts"] = (tuple((key, c // content) for key, c in residues), common // content)
     return z
-
-
-def _divide(p, res, denom, g):
-    """``(p(s) + sum res[f, k] / f^k) / denom`` divided by the primitive
-    factor ``g = m s + mu``.  Its parts and ``denom`` are first multiplied
-    by the lcm of ``m^(len(p) - 1)`` and the ``d^k`` below: ``//`` is exact."""
-    m, mu = g
-    scale = m ** (len(p) - 1) if len(p) > 1 else 1
-    for (n, v), k in res:
-        if (n, v) != g:
-            scale = lcm(scale, (n * mu - m * v) ** k)
-    if scale != 1:
-        p = [c * scale for c in p]
-        res = {key: c * scale for key, c in res.items()}
-    # synthetic division from the top: p = g q + r
-    q, out = [0] * (len(p) - 1), {}
-    r = p[-1] if p else 0
-    for i in range(len(p) - 2, -1, -1):
-        q[i] = r // m
-        r = p[i] - mu * q[i]
-    if r:
-        out[g, 1] = r
-    for (f, k), c in res.items():
-        if f == g:
-            out[g, k + 1] = c
-            continue
-        # c / (f^k g) = (n / d) c / f^k - (m / d) c / (f^(k-1) g), unrolled
-        n, v = f
-        d = n * mu - m * v
-        for j in range(k, 0, -1):
-            c //= d
-            out[f, j] = out.get((f, j), 0) + c * n
-            c *= -m
-        out[g, 1] = out.get((g, 1), 0) + c
-    return q, out, denom * scale
 
 
 def _canonical(parts, den):
     """``(scale, num)`` of ``parts`` with denominator ``den``.  ``num / D``
-    starts at ``p / 1`` and takes in one factor ``f`` of pole order ``e``
+    starts at ``0 / 1`` and takes in one factor ``f`` of pole order ``e``
     at a time as ``(num f^e + D sum_k c_k f^(e - k)) / (D f^e)``; the
     numerator is then cleared of its content."""
-    poly_part, residues, denominator = parts
-    if not poly_part and not residues:
+    residues, denominator = parts
+    if not residues:
         return Fraction(0), ()
     residues = dict(residues)
-    num, full = poly_part, [1]
+    num, full = [], [1]
     for (n, v), e in den:
         power, inner = [1], []
         for k in range(1, e + 1):       # f^e, and Horner in f over c_1 .. c_e
@@ -343,8 +289,7 @@ def zeta_general(tree: AnnotatedTree) -> RationalFunction:
     for bam in tree.bamboos:
         fs = bam.faces
         k = len(fs)
-        terms.append((fs[0].b, (1,),
-                      [(bam.base_mult, bam.base_nu), (fs[0].mult, fs[0].nu)]))
+        terms.append((fs[0].b, [(bam.base_mult, bam.base_nu), (fs[0].mult, fs[0].nu)]))
         for i in range(k):
             if i + 1 < k:
                 d = fs[i].a * fs[i + 1].b - fs[i].b * fs[i + 1].a
@@ -352,10 +297,10 @@ def zeta_general(tree: AnnotatedTree) -> RationalFunction:
             else:
                 d = fs[i].a
                 nxt = (0, 1)
-            terms.append((d, (1,), [(fs[i].mult, fs[i].nu), nxt]))
-            terms.append((-len(fs[i].classes), (1,), [(fs[i].mult, fs[i].nu)]))
+            terms.append((d, [(fs[i].mult, fs[i].nu), nxt]))
+            terms.append((-len(fs[i].classes), [(fs[i].mult, fs[i].nu)]))
         for f in fs:
             n_leaves = sum(isinstance(cls, Leaf) for cls in f.classes)
             if n_leaves:
-                terms.append((n_leaves, (1,), [(f.mult, f.nu), (1, 1)]))
+                terms.append((n_leaves, [(f.mult, f.nu), (1, 1)]))
     return rf_sum(terms)

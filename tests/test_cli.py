@@ -125,26 +125,6 @@ def test_check_instance_derives_no_printed_form(monkeypatch, tree):
     assert len(printed) == 1
 
 
-def test_check_instance_splits_every_stratum_in_one_step(monkeypatch):
-    # on this tree every term of the closed form and of the graph sums is
-    # a constant over one primitive factor or two distinct ones; none goes
-    # through the general division, which a printed form read back takes
-    divided = []
-    divide = zeta._divide
-
-    def counted(*args):
-        divided.append(args)
-        return divide(*args)
-
-    monkeypatch.setattr(zeta, "_divide", counted)
-    spec = tree_from_json(json.loads(THREE_LEVEL_PATH.read_text()))
-    assert all(check_instance(spec, ray_seed=1).values())
-    assert divided == []
-    z = zeta_general(annotate(spec))
-    assert zeta.RationalFunction(z.scale, z.num, z.den) == z
-    assert divided
-
-
 def test_tree_command_missing_file(capsys):
     assert main(["tree", "/nonexistent/tree.json"]) == EXIT_INVALID
 

@@ -14,16 +14,24 @@ which pins the random tree generator and the hash of each tree it makes;
 and, with ``--oracle``, the branch ``y = x^(3/2) + x^(7/4)`` of Puiseux
 characteristic (4; 6, 7), whose second Newton pair, in the chart of the
 first toric modification, is ``(2, 1)``.
-A change that means to keep the output must leave them as they are; one
-that means to change it regenerates them with
-``PYTHONPATH=src python tests/test_golden.py`` and shows the difference.
+``x^2*y^2 - x^5 - y^5 + x^3*y^3`` with ``--oracle`` is the golden case
+whose graph sum has an edge between divisors of proportional
+``(N, nu)``: the stratum term over the square of one factor.
+A change that means to keep the output must leave them as they are.
+
+``python tests/test_golden.py``, run with ``src`` on ``PYTHONPATH``,
+compares every case with its file without pytest: it prints a unified
+diff of each difference and exits 1 if there is one, 0 if there is none.
+With ``--write`` it regenerates the files instead, for a change that
+means to change the output and shows the difference.
 """
 
+import argparse
 import contextlib
+import difflib
 import io
+import sys
 from pathlib import Path
-
-import pytest
 
 from topzeta.cli import EXIT_OK, main
 
@@ -38,6 +46,7 @@ CASES = {
     "chain20-oracle": ["tree", str(TREES / "chain20.json"), "--oracle"],
     "cancelled-candidate": ["poly", "y^3 - x^3*y - x^2*y^2 + x^5"],
     "double-pole": ["poly", "x^2*y^2 - x^5 - y^5 + x^3*y^3"],
+    "double-pole-oracle": ["poly", "x^2*y^2 - x^5 - y^5 + x^3*y^3", "--oracle"],
     "smooth-face": ["poly", "x*y^2 - x^4 - y^3 + x^3*y", "--oracle"],
     "fermat12": ["poly", "x^12 + y^12"],
     "stride-division": ["poly", "y^3 - x^10"],
@@ -58,8 +67,13 @@ def golden_path(name, as_json):
     return GOLDEN / (f"{name}.json.out" if as_json else f"{name}.out")
 
 
-@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-@pytest.mark.parametrize("name", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    # parametrized here rather than by decorator, so that the check mode
+    # below runs without pytest
+    metafunc.parametrize("name", sorted(CASES))
+    metafunc.parametrize("as_json", [False, True], ids=["text", "json"])
+
+
 def test_report_matches_golden(name, as_json):
     argv = CASES[name] + (["--json"] if as_json else [])
     code, out = run_cli(argv)
@@ -67,9 +81,30 @@ def test_report_matches_golden(name, as_json):
     assert out == golden_path(name, as_json).read_text(encoding="utf-8")
 
 
-if __name__ == "__main__":
+def check(write=False) -> int:
+    """Compare every case with its file, or write the files; 1 if a case
+    differs or exits with an error, else 0."""
+    status = 0
     for name, argv in CASES.items():
         for as_json in (False, True):
             code, out = run_cli(argv + (["--json"] if as_json else []))
-            assert code == EXIT_OK, (name, code)
-            golden_path(name, as_json).write_text(out, encoding="utf-8")
+            path = golden_path(name, as_json)
+            if code != EXIT_OK:
+                print(f"{name}{' --json' if as_json else ''}: exit code {code}")
+                status = 1
+            elif write:
+                path.write_text(out, encoding="utf-8")
+            else:
+                old = path.read_text(encoding="utf-8") if path.exists() else ""
+                if out != old:
+                    sys.stdout.writelines(difflib.unified_diff(
+                        old.splitlines(keepends=True), out.splitlines(keepends=True),
+                        str(path), f"{path} (now)"))
+                    status = 1
+    return status
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Compare the golden reports, or write them.")
+    parser.add_argument("--write", action="store_true", help="regenerate every golden file")
+    sys.exit(check(parser.parse_args().write))

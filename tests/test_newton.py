@@ -6,7 +6,7 @@ from topzeta.newton import (DegenerateCurveError, ParseError, newton_faces,
                             nondegeneracy_check, parse_poly, poly_to_str,
                             to_face_specs)
 from topzeta.resolution import build_graph_nondegenerate, definitional_zeta
-from topzeta.zeta import poles, rf, zeta_nondegenerate
+from topzeta.zeta import RationalFunction, poles, zeta_nondegenerate
 
 
 # --- face oracle: normals by exhaustive minimization -------------------------
@@ -182,4 +182,4 @@ def test_order_two_pole_through_polynomial_pipeline():
 
 def test_node_pipeline_golden():
     specs = to_face_specs(newton_faces(parse_poly("x^2-y^2")))
-    assert zeta_nondegenerate(specs) == rf(1, (1,), [((1, 1), 2)])
+    assert zeta_nondegenerate(specs) == RationalFunction(Fraction(1), (1,), (((1, 1), 2),))

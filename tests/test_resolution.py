@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from topzeta.equitree import Bamboo, Face, LEAF, annotate
@@ -5,7 +7,7 @@ from topzeta.lattice import PrimitiveVector
 from topzeta.resolution import (DivisorNode, ResolutionGraph, build_graph,
                                 build_graph_nondegenerate,
                                 chain_determinant_check, definitional_zeta)
-from topzeta.zeta import rf, zeta_general, zeta_nondegenerate
+from topzeta.zeta import RationalFunction, zeta_general, zeta_nondegenerate
 
 
 def annotated(*faces):
@@ -51,9 +53,9 @@ def test_two_pair_graph_attachment():
 
 
 def test_definitional_zeta_examples():
-    assert definitional_zeta(build_graph(CUSP)) == rf(1, (5, 4), [(1, 1), (6, 5)])
+    assert definitional_zeta(build_graph(CUSP)) == RationalFunction(Fraction(1), (5, 4), (((1, 1), 1), ((6, 5), 1)))
     node = build_graph_nondegenerate([(1, 1, 2)])
-    assert definitional_zeta(node) == rf(1, (1,), [((1, 1), 2)])
+    assert definitional_zeta(node) == RationalFunction(Fraction(1), (1,), (((1, 1), 2),))
 
 
 def test_definitional_matches_closed_forms():

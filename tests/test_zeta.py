@@ -1,15 +1,14 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topzeta import poly
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.zeta import (ZERO, Pole, RationalFunction, _divide, _linear_str, candidate_poles,
-                          poles, poly_str, rf, rf_sum, zeta_general, zeta_nondegenerate)
+from topzeta.zeta import (ZERO, Pole, RationalFunction, _linear_str, candidate_poles,
+                          poles, poly_str, rf_sum, zeta_general, zeta_nondegenerate)
 
 
 def annotated(*faces):
@@ -20,11 +19,17 @@ CUSP = annotated(Face(2, 3, (LEAF,)))
 TWO_PAIR = annotated(Face(2, 3, (Bamboo((Face(2, 7, (LEAF,)),)),)))
 
 
-# --- rational functions: sums in partial fractions ---------------------------
+# --- rational functions: sums of stratum terms in partial fractions -----------
 
-def term(z):
-    """A canonical rational function as one term of ``rf_sum``."""
-    return (z.scale, z.num, z.den)
+def printed(z):
+    return z.scale, z.num, z.den
+
+
+def stratum_terms(z):
+    """A sum as stratum terms again: a residue of order k <= 2 is the term
+    of its factor taken k times."""
+    residues, denom = z.parts
+    return [(Fraction(c, denom), (f,) * k) for (f, k), c in residues]
 
 
 def value(z, s):
@@ -34,73 +39,77 @@ def value(z, s):
     return out
 
 
-def factors(den):
-    """``den`` of a term as ``((N, nu), exp)`` pairs."""
-    return [item if isinstance(item[0], tuple) else (item, 1) for item in den]
-
-
-def term_value(coef, num, den, s):
-    out = Fraction(coef) * sum(c * s ** i for i, c in enumerate(num))
-    for (n, v), e in factors(den):
-        out /= (n * s + v) ** e
+def term_value(coef, den, s):
+    out = Fraction(coef)
+    for n, v in den:
+        out /= n * s + v
     return out
 
 
 def test_rf_add_same_denominator():
-    one_over = rf(1, (1,), [(1, 1)])
-    assert rf_sum([term(one_over), term(one_over)]) == rf(2, (1,), [(1, 1)])
+    assert str(rf_sum([(1, [(1, 1)]), (1, [(1, 1)])])) == "2 / (s + 1)"
 
 
 def test_rf_partial_fraction_identity():
-    got = rf_sum([(5, (1,), [(6, 5)]), (-1, (0, 1), [(1, 1), (6, 5)])])
-    assert got == rf(1, (5, 4), [(1, 1), (6, 5)])
-
-
-def test_rf_cancellation():
-    assert rf(1, (1, 1), [(1, 1)]) == rf(1)          # (s+1)/(s+1) = 1
-    assert rf(1, (5, 6), [(6, 5), (6, 5), (1, 1)]) == rf(1, (1,), [(6, 5), (1, 1)])
+    # 1/((s+1)(6s+5)) splits in one step with d = 1*5 - 6*1 = -1
+    split = rf_sum([(1, [(1, 1), (6, 5)])])
+    assert split.parts == (((((1, 1), 1), -1), (((6, 5), 1), 6)), 1)
+    assert str(split) == "1 / ((s + 1) * (6*s + 5))"
+    got = rf_sum([(1, [(1, 1)]), (-1, [(6, 5)])])
+    assert got == RationalFunction(Fraction(1), (4, 5), (((1, 1), 1), ((6, 5), 1)))
 
 
 def test_rf_normalizes_factor_content():
     # (10 s + 5) = 5 (2 s + 1); the content moves to the scale
-    z = rf(1, (1,), [(10, 5)])
+    z = rf_sum([(1, [(10, 5)])])
     assert z.scale == Fraction(1, 5)
     assert z.den == (((2, 1), 1),)
 
 
 def test_rf_zero_and_scalars():
-    assert rf(0) == ZERO
-    assert rf_sum([(3, (1,), ()), (-3, (1,), ())]) == ZERO
-    assert rf_sum([term(ZERO), term(rf(7))]) == rf(7)
+    assert rf_sum([(0, [(1, 1)])]) == ZERO
+    assert rf_sum([(3, [(1, 1)]), (-3, [(1, 1)])]) == ZERO
+    # a factor with N = 0 is a scalar: 3 / (2 (s + 1)) - 3 / (2 s + 2)
+    assert rf_sum([(3, [(0, 2), (1, 1)]), (-3, [(2, 2)])]) == ZERO
     assert rf_sum([]) == ZERO and hash(rf_sum([])) == hash(ZERO)
 
 
 def test_rf_rejects_zero_factor():
     with pytest.raises(ValueError):
-        rf(1, (1,), [(0, 0)])
+        rf_sum([(1, [(0, 0)])])
+    with pytest.raises(ValueError):
+        rf_sum([(1, [(1, 1), (0, 0)])])
+
+
+def test_rf_sum_takes_stratum_terms_only():
+    # a term is a constant over one linear factor or two, one with N != 0
+    for den in ([], [(0, 1)], [(0, 2), (0, -3)], [(1, 1), (2, 1), (3, 1)]):
+        with pytest.raises(ValueError):
+            rf_sum([(1, den)])
 
 
 def test_pole_order_is_the_highest_surviving_power():
-    # s / (s+1)^2 = 1/(s+1) - 1/(s+1)^2: the top residue at -1 cancels
-    # against the second term, so -1 is a simple pole of the sum
-    z = rf_sum([(1, (0, 1), [((1, 1), 2)]), (1, (1,), [((1, 1), 2)]),
-                (2, (1,), [(1, 1), ((2, 1), 2)])])
+    # the double poles at -1 of the first two terms cancel, and the split
+    # of the third leaves -1 a simple pole; -1/2 keeps the double pole of
+    # the last term, whose factors are equal after normalization
+    z = rf_sum([(1, [(1, 1), (1, 1)]), (-2, [(2, 2), (1, 1)]),
+                (1, [(1, 1), (2, 1)]), (2, [(2, 1), (4, 2)])])
     assert poles(z) == [(Fraction(-1), 1), (Fraction(-1, 2), 2)]
-    assert z == rf(1, (3, 4, 4), [(1, 1), ((2, 1), 2)])
+    assert str(z) == "(3*s + 2) / ((s + 1) * (2*s + 1)^2)"
 
 
 def small_terms():
     # Fraction coefficients, N of either sign or zero, factors with a
-    # content (such as (6, 4)), explicit powers, and numerators of degree
-    # up to 4: every way a term's denominator is multiplied up in the sum
-    primitive = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
-        lambda f: f != (0, 0))
-    linear = st.builds(lambda f, c: (f[0] * c, f[1] * c), primitive, st.integers(1, 3))
-    factor = linear | st.tuples(linear, st.integers(0, 3))
+    # content (such as (6, 4)), and pairs whose factors are equal after
+    # normalization: every way a stratum term is split in the sum
+    pair = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda f: f != (0, 0))
+    linear = st.builds(lambda f, c: (f[0] * c, f[1] * c), pair, st.integers(1, 3))
+    moving = linear.filter(lambda f: f[0] != 0)
+    square = st.builds(lambda f, c: (f, (f[0] * c, f[1] * c)), moving,
+                       st.sampled_from((-2, -1, 1, 2)))
     return st.tuples(
         st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6),
-        st.lists(st.integers(-3, 3), min_size=1, max_size=5).map(tuple),
-        st.lists(factor, max_size=3),
+        st.tuples(moving) | st.tuples(moving, linear) | st.tuples(linear, moving) | square,
     )
 
 
@@ -114,8 +123,8 @@ def test_rf_ring_laws(terms, rnd, cut):
     shuffled = list(terms)
     rnd.shuffle(shuffled)
     assert rf_sum(shuffled) == z
-    assert rf_sum([term(rf_sum(terms[:cut])), term(rf_sum(terms[cut:]))]) == z
-    roots = {Fraction(-v, n) for _, _, den in terms for (n, v), _ in factors(den) if n}
+    assert rf_sum(stratum_terms(rf_sum(terms[:cut])) + stratum_terms(rf_sum(terms[cut:]))) == z
+    roots = {Fraction(-v, n) for _, den in terms for n, v in den if n}
     for s in {Fraction(1, 7), Fraction(2, 3), Fraction(5, 2), Fraction(3)} - roots:
         assert value(z, s) == sum(term_value(*t, s) for t in terms)
     # canonical: primitive numerator with positive leading coefficient,
@@ -124,12 +133,12 @@ def test_rf_ring_laws(terms, rnd, cut):
         assert gcd(*z.num) == 1 and z.num[-1] > 0
     assert list(z.den) == sorted(z.den)
     for (n, v), e in z.den:
-        assert n >= 1 and gcd(n, v) == 1 and e >= 1
+        assert n >= 1 and gcd(n, v) == 1 and 1 <= e <= 2
         assert sum(c * Fraction(-v, n) ** i for i, c in enumerate(z.num)) != 0
 
 
 def negated(terms):
-    return [(-coef, num, den) for coef, num, den in terms]
+    return [(-coef, den) for coef, den in terms]
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,101 +148,93 @@ def test_partial_fractions_and_printed_form_give_one_equality(a, b):
     # den) holds the printed form; both compare and hash alike
     za, zb = rf_sum(a), rf_sum(b)
     for other in (zb, rf_sum(b + a + negated(b))):
-        assert (za == other) == (term(za) == term(other))
+        assert (za == other) == (printed(za) == printed(other))
     assert rf_sum(a + negated(a)) == ZERO
     for z in (za, zb):
-        printed = RationalFunction(z.scale, z.num, z.den)
-        assert printed == z and hash(printed) == hash(z)
-        assert poles(z) == sorted(Pole(Fraction(-v, n), e) for (n, v), e in printed.den)
+        form = RationalFunction(*printed(z))
+        assert form == z and z == form and hash(form) == hash(z)
+        assert (form == zb) == (z == zb) == (RationalFunction(*printed(zb)) == form)
+        assert poles(z) == sorted(Pole(Fraction(-v, n), e) for (n, v), e in form.den)
 
 
 # --- a stratum's term is split in one step -----------------------------------
 
-def divided_term(coef, num, den):
-    """``(p, res, D)`` of one term as the sum once computed it for every
-    term: each primitive factor divided in through ``zeta._divide``."""
-    coef = Fraction(coef)
-    p, res, denom = [coef.numerator * c for c in num], {}, coef.denominator
-    for (n, v), e in factors(den):
-        g = gcd(n, v) if n > 0 else -gcd(n, v) if n else v
-        denom *= g ** e
-        for _ in range(e if n else 0):
-            p, res, denom = _divide(p, res, denom, (n // g, v // g))
-    return p, res, denom
-
-
-def reference_parts(terms):
-    """``parts`` of the sum of ``divided_term`` of each term, added as
-    fractions and put over their least common denominator."""
-    poly_part, residues = [], {}
-    for t in terms:
-        p, res, denom = divided_term(*t)
-        poly_part = poly.add(poly_part, [Fraction(c, denom) for c in p])
-        for key, c in res.items():
-            residues[key] = residues.get(key, 0) + Fraction(c, denom)
-    residues = sorted((key, c) for key, c in residues.items() if c)
-    common = lcm(*(c.denominator for c in (*poly_part, *(c for _, c in residues))))
-    return (tuple(int(c * common) for c in poly_part),
-            tuple((key, int(c * common)) for key, c in residues), common)
+def normalized(f):
+    """The primitive factor ``(N, nu)``, ``N >= 1``, of ``f`` with N != 0."""
+    n, v = f
+    g = gcd(n, v) if n > 0 else -gcd(n, v)
+    return n // g, v // g
 
 
 def random_stratum_term(rng):
     """A constant over one linear factor or two: an integer or Fraction
-    coefficient, factors with a content of 1-4, N of either sign or zero,
-    now and then in the ``((N, nu), 1)`` form, and in one pair out of
-    six the same primitive factor twice, with two contents."""
+    coefficient, factors with a content of 1-4 and N of either sign, and
+    of the second factor, in one pair out of six the first factor's
+    primitive again, with another content, and in one out of twelve
+    N = 0."""
     def primitive():
         while True:
             f = rng.randint(-5, 5), rng.randint(-5, 5)
-            if gcd(*f) == 1:
+            if gcd(*f) == 1 and f[0]:
                 return f
 
     def linear(f):
         c = rng.randint(1, 4)
-        item = (f[0] * c, f[1] * c)
-        return (item, 1) if rng.random() < 0.2 else item
+        return f[0] * c, f[1] * c
 
     coef = rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 6))))
     f = primitive()
     den = [linear(f)]
     if rng.random() < 0.75:
-        den.append(linear(f if rng.random() < 1 / 6 else primitive()))
-    return coef, (rng.randint(-3, 3),), den
+        r = rng.random()
+        den.append(linear(f if r < 1 / 6 else (0, rng.choice((-1, 1))) if r < 1 / 4
+                          else primitive()))
+    return coef, den
 
 
-def stratum_shapes(coef, num, den):
+def stratum_shapes(coef, den):
     """The forms a term of random_stratum_term takes, by name."""
     shapes = {"fraction"} if Fraction(coef).denominator > 1 else set()
-    prim = []
-    for (n, v), _ in factors(den):
-        g = gcd(n, v)
-        shapes |= {"content"} if g > 1 else set()
+    for n, v in den:
+        shapes |= {"content"} if gcd(n, v) > 1 else set()
         shapes |= {"N = 0"} if n == 0 else {"N < 0"} if n < 0 else set()
-        if n:
-            prim.append((n // g, v // g) if n > 0 else (-n // g, -v // g))
+    prim = [normalized(f) for f in den if f[0]]
     if len(prim) == 2:
         (n, v), (m, mu) = prim
         d = n * mu - m * v
-        shapes.add("d < 0" if d < 0 else "d > 0" if d > 0 else "d = 0")
+        shapes.add("d < 0" if d < 0 else "d > 0" if d > 0 else "f == g")
     return shapes
 
 
 def test_stratum_terms_split_as_divided_one_factor_at_a_time():
-    # the one-step split must give the parts of the division it replaces,
-    # term by term and in sums, mixed with terms of higher numerators
+    # partial fractions are unique, so the parts equal those of dividing
+    # in one factor at a time when they are canonical, lie over the terms'
+    # factors to no higher power, and take the terms' exact value at more
+    # points than the degree of that common denominator: two proper
+    # functions over it that agree there are equal
     rng = random.Random(14)
     seen = dict.fromkeys(("fraction", "content", "N = 0", "N < 0",
-                          "d < 0", "d > 0", "d = 0"), 0)
+                          "d < 0", "d > 0", "f == g"), 0)
     for _ in range(1500):
         terms = [random_stratum_term(rng) for _ in range(rng.randint(1, 5))]
+        orders = {}     # the common denominator: each factor's highest power
         for t in terms:
-            assert rf_sum([t]).parts == reference_parts([t]), t
             for shape in stratum_shapes(*t):
                 seen[shape] += 1
-        if rng.random() < 0.2:
-            coef, _, den = random_stratum_term(rng)
-            terms.append((coef, (rng.randint(-3, 3), rng.randint(1, 3)), den))
-        assert rf_sum(terms).parts == reference_parts(terms), terms
+            prim = [normalized(f) for f in t[1] if f[0]]
+            for f in prim:
+                orders[f] = max(orders.get(f, 0), prim.count(f))
+        residues, denom = rf_sum(terms).parts
+        keys = [key for key, _ in residues]
+        assert keys == sorted(set(keys)) and denom > 0
+        assert gcd(denom, *(c for _, c in residues)) == 1 and all(c for _, c in residues)
+        for (n, v), k in keys:
+            assert n >= 1 and gcd(n, v) == 1 and 1 <= k <= orders.get((n, v), 0)
+        roots = {Fraction(-v, n) for n, v in orders}
+        points = [s for s in (Fraction(j, 7) for j in range(1, 60)) if s not in roots]
+        for s in points[:sum(orders.values()) + 1]:
+            got = sum(Fraction(c, denom) / (n * s + v) ** k for ((n, v), k), c in residues)
+            assert got == sum(term_value(*t, s) for t in terms), terms
     assert min(seen.values()) > 100, seen
 
 
@@ -284,15 +285,15 @@ def test_denominator_factors_print_as_poly_str():
 # --- closed forms ------------------------------------------------------------
 
 def test_zeta_nondegenerate_cusp():
-    assert zeta_nondegenerate([(2, 3, 1)]) == rf(1, (5, 4), [(1, 1), (6, 5)])
+    assert str(zeta_nondegenerate([(2, 3, 1)])) == "(4*s + 5) / ((s + 1) * (6*s + 5))"
 
 
 def test_zeta_nondegenerate_node():
-    assert zeta_nondegenerate([(1, 1, 2)]) == rf(1, (1,), [((1, 1), 2)])
+    assert str(zeta_nondegenerate([(1, 1, 2)])) == "1 / (s + 1)^2"
 
 
 def test_zeta_nondegenerate_2_5():
-    assert zeta_nondegenerate([(2, 5, 1)]) == rf(1, (7, 6), [(1, 1), (10, 7)])
+    assert str(zeta_nondegenerate([(2, 5, 1)])) == "(6*s + 7) / ((s + 1) * (10*s + 7))"
 
 
 def test_zeta_nondegenerate_rejects_bad_lists():
@@ -310,12 +311,12 @@ def test_zeta_general_cusp_matches_nondegenerate():
 
 def test_zeta_general_two_pair():
     z = zeta_general(TWO_PAIR)
-    assert z == rf(1, (85, 256, 164), [(1, 1), (12, 5), (38, 17)])
+    assert str(z) == "(164*s^2 + 256*s + 85) / ((s + 1) * (12*s + 5) * (38*s + 17))"
 
 
 def test_zeta_general_two_leaves():
     z = zeta_general(annotated(Face(2, 3, (LEAF, LEAF))))
-    assert z == rf(1, (5, 3), [(1, 1), (12, 5)])
+    assert str(z) == "(3*s + 5) / ((s + 1) * (12*s + 5))"
     assert z == zeta_nondegenerate([(2, 3, 2)])
 
 
@@ -354,10 +355,11 @@ def test_candidate_poles_coincide_with_provenance():
 
 
 def test_poles_examples():
-    assert poles(rf(1, (5, 4), [(1, 1), (6, 5)])) == [
-        (Fraction(-1), 1), (Fraction(-5, 6), 1)]
-    assert poles(rf(1, (1,), [((1, 1), 2)])) == [(Fraction(-1), 2)]
-    assert poles(rf(1, (5, 6), [((6, 5), 2), (1, 1)])) == [
+    cusp = RationalFunction(Fraction(1), (5, 4), (((1, 1), 1), ((6, 5), 1)))
+    assert poles(cusp) == [(Fraction(-1), 1), (Fraction(-5, 6), 1)]
+    assert poles(rf_sum([(1, [(1, 1), (2, 2)])])) == [(Fraction(-1), 2)]
+    # the two residues of one split term are both nonzero
+    assert poles(rf_sum([(1, [(6, 5), (1, 1)])])) == [
         (Fraction(-1), 1), (Fraction(-5, 6), 1)]
 
 
@@ -381,7 +383,7 @@ def test_candidate_cancellation_on_unit_entries():
     ws = [(f.mult, f.nu) for f in annotate_faces([(2, 3, 1), (1, 2, 1)]).root.faces]
     assert ws == [(9, 5), (5, 3)]
     assert Fraction(-3, 5) not in {p.value for p in poles(z)}
-    assert z == rf(1, (5, 2), [(1, 1), (9, 5)])
+    assert str(z) == "(2*s + 5) / ((s + 1) * (9*s + 5))"
 
 
 def test_face_weights_cusp():
