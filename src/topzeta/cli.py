@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .monodromy import (CycloProduct, acampo_from_graph, characteristic_poly,
 from .newton import (DegenerateCurveError, newton_faces, parse_poly,
                      poly_to_str, to_face_specs)
 from .resolution import build_graph, chain_determinant_check, definitional_zeta
-from .zeta import RationalFunction, candidate_poles, poles, poly_str, zeta_general
+from .zeta import RationalFunction, candidate_poles, poly_str, zeta_general
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,15 +143,16 @@ def _analyze(annotated, inp: dict, oracle: bool):
     z = zeta_general(annotated)
     zm = monodromy_zeta(annotated)
     delta = characteristic_poly(zm)
+    checks = conjecture_report(z, delta.cyclo)      # one per pole, in order
     with _unlimited_digits():
         report = {
             "input": inp,
             "zeta": z.to_json_dict(),
-            "poles": _pole_entries(poles(z), candidate_poles(annotated)),
+            "poles": _pole_entries(checks, candidate_poles(annotated)),
             "monodromy_zeta": zm.to_json_list(),
             "delta": delta.to_json_dict(),
             "milnor_number": delta.mu,
-            "conjecture": _conjecture_json(conjecture_report(z, delta.cyclo)),
+            "conjecture": _conjecture_json(checks),
         }
     code = EXIT_OK if report["conjecture"]["verdict"] == "holds" else EXIT_INCONSISTENT
     if oracle:
@@ -238,7 +240,7 @@ def check_instance(spec: Bamboo, *, ray_seed: int = 0) -> dict:
     if delta is not None and delta.coeffs is not None:
         checks["delta_values"] = _delta_values_agree(delta)
     cand_values = {c.value for c in candidate_poles(annotated)}
-    checks["pole_containment"] = all(p.value in cand_values for p in poles(z))
+    checks["pole_containment"] = all(Fraction(-nu, n) in cand_values for (n, nu), _ in z.den)
     # without a polynomial there are no eigenvalues to check the poles against
     checks["conjecture"] = delta is not None and all(
         c.witness.ok for c in conjecture_report(z, delta.cyclo))
@@ -265,8 +267,8 @@ def _delta_values_agree(delta) -> bool:
     return True
 
 
-def run_fuzz(count: int, seed: int, *, json_out: bool = False) -> int:
-    out = sys.stdout
+def run_fuzz(count: int, seed: int, *, json_out: bool = False) -> tuple[str, int]:
+    """The fuzz summary as text and the exit code."""
     rng = random.Random(seed)
     records = []
     failures = 0
@@ -291,18 +293,18 @@ def run_fuzz(count: int, seed: int, *, json_out: bool = False) -> int:
         "failed": failures,
         "instances": records,
     }
+    code = EXIT_OK if failures == 0 else EXIT_INCONSISTENT
     if json_out:
-        json.dump(summary, out, indent=2)
-        out.write("\n")
-    else:
-        for rec in records:
-            status = "ok" if rec["ok"] else "FAIL"
-            out.write(f"instance {rec['instance']:4d}  {rec['hash']}  {status}\n")
-            if not rec["ok"]:
-                bad = [k for k, v in rec["checks"].items() if not v]
-                out.write(f"  failed checks: {', '.join(bad)}  (dumped to {rec['dump']})\n")
-        out.write(f"passed {summary['passed']}/{count}\n")
-    return EXIT_OK if failures == 0 else EXIT_INCONSISTENT
+        return json.dumps(summary, indent=2) + "\n", code
+    lines = []
+    for rec in records:
+        status = "ok" if rec["ok"] else "FAIL"
+        lines.append(f"instance {rec['instance']:4d}  {rec['hash']}  {status}\n")
+        if not rec["ok"]:
+            bad = [k for k, v in rec["checks"].items() if not v]
+            lines.append(f"  failed checks: {', '.join(bad)}  (dumped to {rec['dump']})\n")
+    lines.append(f"passed {summary['passed']}/{count}\n")
+    return "".join(lines), code
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +375,20 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    text, code = _run(args)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: write nothing more, and point stdout at the
+        # null device so that the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
-    out = sys.stdout
+
+def _run(args) -> tuple[str, int]:
+    """A parsed command's standard output and exit code; its diagnostics
+    go to stderr."""
     try:
         if args.command == "tree":
             try:
@@ -382,43 +396,41 @@ def main(argv=None) -> int:
                     data = json.load(fh, parse_int=_read_int)
             except OSError as exc:
                 print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-                return EXIT_INVALID
+                return "", EXIT_INVALID
             except OverflowError as exc:
                 print(f"error: {args.path} holds a {exc.args[0]}-digit integer, past the "
                       f"limit of {sys.get_int_max_str_digits()} digits", file=sys.stderr)
-                return EXIT_INVALID
+                return "", EXIT_INVALID
             except ValueError as exc:       # bad syntax or encoding
                 print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
-                return EXIT_INVALID
+                return "", EXIT_INVALID
             except RecursionError:
                 print(f"error: {args.path} is nested too deeply to parse", file=sys.stderr)
-                return EXIT_INVALID
+                return "", EXIT_INVALID
             try:
                 report, code = analyze_tree(tree_from_json(data), oracle=args.oracle)
             except InvalidTreeError as exc:
                 for diag in exc.problems:
                     print(f"error: {diag}", file=sys.stderr)
-                return EXIT_INVALID
-            out.write(_render(report, args.json))
-            return code
+                return "", EXIT_INVALID
+            return _render(report, args.json), code
 
         if args.command == "poly":
             report, code = analyze_poly(args.expr, oracle=args.oracle)
-            out.write(_render(report, args.json))
-            return code
+            return _render(report, args.json), code
 
         if args.command == "fuzz":
             if args.count < 1:
                 print("error: count must be at least 1", file=sys.stderr)
-                return EXIT_USAGE
+                return "", EXIT_USAGE
             return run_fuzz(args.count, args.seed, json_out=args.json)
 
     except DegenerateCurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return "", EXIT_DEGENERATE
     except ValueError as exc:       # TreeJSONError, ParseError and every other bad input
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return "", EXIT_INVALID
     raise AssertionError("unreachable")
 
 

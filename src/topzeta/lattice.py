@@ -17,6 +17,8 @@ the parents ``l < w < r``, ``l + r = w``, ``det(l, w) = det(w, r) = 1``:
 The closure is regular, each ray splitting the cone of its parents into two
 cones of determinant one; it is minimal, since in a regular subdivision the
 ray of greatest ``a + b`` is the sum of its neighbours, its parents.
+``minimal_regular_refinement`` fills the cones; ``admissible_subdivision``,
+``insert_rays`` and the refined graphs of ``resolution.build_graph`` use it.
 """
 
 from __future__ import annotations
@@ -91,14 +93,6 @@ class TooManyRays(ValueError):
         self.ray = ray
 
 
-def minimal_regular_refinement(u: PrimitiveVector, v: PrimitiveVector):
-    """The closure rays strictly between u < v: the slope-increasing list
-    W_1 < ... < W_r with all consecutive determinants along u, W_1, ...,
-    W_r, v equal to one, empty exactly when det(u, v) = 1.  Raises
-    TooManyRays(v) past MAX_DIVISORS rays."""
-    return _regularize([u, v])
-
-
 def admissible_subdivision(principal) -> Subdivision:
     """Minimal regular subdivision containing every given ray.
 
@@ -113,7 +107,7 @@ def admissible_subdivision(principal) -> Subdivision:
     for p, q in zip(principal, principal[1:]):
         if not p < q:
             raise ValueError(f"rays out of slope order: {p} before {q}")
-    return Subdivision(_regularize([X_FRAME, *principal, Y_FRAME]))
+    return Subdivision(minimal_regular_refinement(X_FRAME, *principal, Y_FRAME))
 
 
 def insert_rays(sub: Subdivision, extra) -> Subdivision:
@@ -131,16 +125,18 @@ def insert_rays(sub: Subdivision, extra) -> Subdivision:
         i = bisect_left(rays, w)
         if rays[i] == w:
             raise ValueError(f"ray {w} already present")
-        rays[i:i] = _regularize([rays[i - 1], w, rays[i]])
+        rays[i:i] = minimal_regular_refinement(rays[i - 1], w, rays[i])
         if len(rays) - 2 > MAX_DIVISORS:
             raise TooManyRays(rays[MAX_DIVISORS + 1])
     return Subdivision(rays[1:-1])
 
 
-def _regularize(rays) -> list:
-    """The rays of the closure of the slope-increasing ``rays`` strictly
-    between the first and the last; raises TooManyRays(v) past
-    MAX_DIVISORS of them, v the end of the cone being filled.
+def minimal_regular_refinement(*rays) -> list:
+    """The closure rays strictly between the first and the last of the
+    slope-increasing ``rays``, the middle ones kept: for u < v alone, the
+    W_1 < ... < W_r with all determinants along u, W_1, ..., W_r, v one,
+    none exactly when det(u, v) = 1.  Raises TooManyRays(v) past
+    MAX_DIVISORS rays, v the end of the cone being filled.
 
     A cone u < v gets u's right parents while they are below v, which ends
     at the common ancestor, then v's left parents, reversed, down to a

@@ -29,10 +29,10 @@ each residue class mod n (n/g classes) or one block of n coefficients
 after another (h/n blocks), whichever takes fewer Python-level steps.
 Each runs at stride g, the gcd of the exponents applied so far, since
 the series is zero off the multiples of g.  ``(1 - t)^e`` goes in at the
-first factor that would bring g to 1, or last.  Truncation to ``t^(h + 1)`` is a ring map, so the order of the
-steps leaves the result as it is, and the truncated series is the
-polynomial's own low part because the root multiplicities, all
-nonnegative, have shown the product to be a polynomial of degree ``mu``.
+first factor that would bring g to 1, or last.  Truncation to
+``t^(h + 1)`` is a ring map, so the order of the steps does not matter,
+and the truncated series is the polynomial's own low part: the root
+multiplicities, all nonnegative, show the product is of degree ``mu``.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .equitree import AnnotatedTree, Leaf, annotate_faces
-from .lattice import (MAX_DIVISORS, PrimitiveVector, Subdivision, TooManyRays,
-                      X_FRAME, Y_FRAME, admissible_subdivision, det, insert_rays)
+from .lattice import (MAX_DIVISORS, PrimitiveVector, Subdivision, TooManyRays, X_FRAME,
+                      Y_FRAME, admissible_subdivision, det, minimal_regular_refinement)
 from .zeta import RationalFunction, rf_sum
 
 
@@ -68,25 +68,13 @@ class ChainViolation(NamedTuple):
     got: int
 
 
-def _random_refine(sub: Subdivision, rng: random.Random) -> Subdivision:
-    rays = (X_FRAME, *sub.vectors, Y_FRAME)
-    j = rng.randrange(len(rays) - 1)
-    u, v = rays[j], rays[j + 1]
-    p = rng.randint(1, 4)
-    q = rng.randint(1, 4)
-    g = gcd(p, q)
-    p, q = p // g, q // g
-    w = PrimitiveVector(p * u.a + q * v.a, p * u.b + q * v.b)
-    return insert_rays(sub, [w])
-
-
 def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> ResolutionGraph:
     """Resolution graph of a tree; minimal subdivisions by default.
 
-    With ``extra_rays`` > 0, that many random rays are inserted per
-    bamboo, deterministically from ``seed``.  Inserted divisors sit on
-    chain interiors, so their open strata have Euler characteristic zero
-    and all derived invariants must be unchanged.
+    With ``extra_rays`` > 0, that many random rays go into each bamboo's
+    one ray list, deterministically from ``seed``, and the list is checked
+    once.  Inserted divisors sit on chain interiors, so their open strata
+    have Euler characteristic zero and all derived invariants must stay.
 
     Raises ValueError naming a bamboo's face when the graph would have
     more than ``lattice.MAX_DIVISORS`` exceptional divisors.
@@ -98,12 +86,19 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
     for bam in tree.bamboos:
         principal = [PrimitiveVector(f.a, f.b) for f in bam.faces]
         try:
-            sub = admissible_subdivision(principal)
+            rays = [X_FRAME, *admissible_subdivision(principal).vectors, Y_FRAME]
             for _ in range(extra_rays):
-                sub = _random_refine(sub, rng)
-            used += len(sub.vectors)
+                # w = (p u + q v) / gcd(p, q) lies strictly inside the cone u, v
+                j = rng.randrange(len(rays) - 1)
+                u, v = rays[j], rays[j + 1]
+                p, q = rng.randint(1, 4), rng.randint(1, 4)
+                g = gcd(p, q)
+                w = PrimitiveVector((p * u.a + q * v.a) // g, (p * u.b + q * v.b) // g)
+                rays[j + 1:j + 1] = minimal_regular_refinement(u, w, v)
+            vectors = Subdivision(rays[1:-1]).vectors if extra_rays else rays[1:-1]
+            used += len(vectors)
             if used > MAX_DIVISORS:     # name the first ray past the bound
-                raise TooManyRays(sub.vectors[MAX_DIVISORS - used])
+                raise TooManyRays(vectors[MAX_DIVISORS - used])
         except TooManyRays as exc:
             # name the face whose cone holds the ray, or the last face
             face = min(sum(det(p, exc.ray) > 0 for p in principal), len(principal) - 1)
@@ -115,7 +110,7 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
         # the chain in slope order: a ray's segment is the number of
         # principal rays at or below it, so it only moves forward
         first, seg, segs, pids = len(raw), 0, [], []
-        for t in sub.vectors:
+        for t in vectors:
             while seg < len(principal) and det(principal[seg], t) >= 0:
                 seg += 1
             if seg and principal[seg - 1] == t:

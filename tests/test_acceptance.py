@@ -12,15 +12,18 @@ resolution graph (Z(0) = 1, Kouchnirenko's Milnor number) also run on
 2000 seeded face lists with entries 1..9, and so does the one that reads
 the poles and their orders off the graph's rupture divisors.  Criterion
 14 reads mu and every principal N off the contact orders of the Puiseux
-roots, with neither the multiplicity recursion nor the graph, and a last
-test rewrites trees into non-minimal encodings of the same germ.
+roots, with neither the multiplicity recursion nor the graph; criterion
+15 builds the monodromy zeta function from the same contacts, and checks
+Zariski's formula on 2000 seeded branches with a in 2..9 and 2000 with
+a in 1..9.  A last test rewrites trees into non-minimal encodings of the
+same germ.
 """
 
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -44,6 +47,8 @@ UNIT_FACE_COUNT = 2000
 UNIT_TREE_SEED = 13
 UNIT_TREE_COUNT = 200
 REWRITE_SEED = 17
+BRANCH_SEED = 19
+BRANCH_COUNT = 2000
 RAY_INSTANCES = 100
 EXPANSION_CAP = 2500
 FULL_EXPANSION_CAP = 300
@@ -185,8 +190,8 @@ def root_count(cls):
 
 
 def contact_oracle(tree):
-    """Milnor number and {(bamboo path, face index): N} of a tree, from the
-    contact orders of its Puiseux roots alone.
+    """Milnor number, {(bamboo path, face index): N} and {bamboo path:
+    N_top} of a tree, from the contact orders of its Puiseux roots alone.
 
     A leaf whose path has the pairs (a_1, b_1) ... (a_k, b_k) has A_k =
     a_1 ... a_k roots, whose level-m terms have the exponents E_m = E_(m-1)
@@ -200,13 +205,16 @@ def contact_oracle(tree):
     roots that agree through the levels above a bamboo at a time: E and P =
     A_(l-1) are the group's exponent and the number of such groups, and
     ``outside`` the contacts of one of its roots with every root outside.
+    A bamboo's N_top is the contact sum of a curvette beyond its last face,
+    whose slope is above every face's.
     """
-    mults = {}
+    mults, tops = {}, {}
 
     def walk(bamboo, path, E, P, outside):
         slopes = [Fraction(f.b, f.a * P) for f in bamboo.faces]
         counts = [[root_count(c) for c in f.classes] for f in bamboo.faces]
         group = [f.a * sum(rs) for f, rs in zip(bamboo.faces, counts)]
+        tops[path] = P * (outside + sum(g * (E + s) for g, s in zip(group, slopes)))
         pairs = 0
         for i, f in enumerate(bamboo.faces):
             across = sum(g * (E + min(slopes[i], slopes[j]))
@@ -221,7 +229,32 @@ def contact_oracle(tree):
         return pairs
 
     pairs = walk(tree, (), Fraction(0), 1, Fraction(0))
-    return pairs - root_count(tree) + 1, mults
+    return pairs - root_count(tree) + 1, mults, tops
+
+
+def zariski_zeta(levels):
+    """{n: e} of prod (1 - t^n)^e by Zariski's formula for the branch whose
+    Newton pairs, level by level, are ``levels``: prod_(i>=1) (1 -
+    t^(n_i bb_i)) / prod_(i>=0) (1 - t^bb_i), with n_i = a_i, the
+    characteristic beta_0 = a_1 ... a_g and beta_i = E_i beta_0, and the
+    semigroup generators bb_0 = beta_0, bb_1 = beta_1 and bb_(i+1) = n_i bb_i
+    + beta_(i+1) - beta_i.  A level with a = 1 is no characteristic pair:
+    its two factors cancel, and the next bb is as if it were not there."""
+    beta0 = prod(a for a, _ in levels)
+    betas, E, A = [], Fraction(0), 1
+    for a, b in levels:
+        E += Fraction(b, a * A)
+        A *= a
+        betas.append(int(E * beta0))
+    bars = [beta0, betas[0]]
+    for i in range(1, len(levels)):
+        bars.append(levels[i - 1][0] * bars[i] + betas[i] - betas[i - 1])
+    zeta = Counter()
+    for bar in bars:
+        zeta[bar] -= 1
+    for (a, _), bar in zip(levels, bars[1:]):
+        zeta[a * bar] += 1
+    return {n: e for n, e in zeta.items() if e}
 
 
 def times_one_minus(c, n):
@@ -448,7 +481,7 @@ def test_criterion_13_poles_from_rupture_divisors(tree_corpus, face_corpus, unit
 def test_criterion_14_milnor_number_and_n_from_puiseux_contacts(tree_corpus, unit_tree_corpus):
     deep_units = 0
     for inst in tree_corpus + unit_tree_corpus:
-        mu, mults = contact_oracle(inst.spec)
+        mu, mults, _ = contact_oracle(inst.spec)
         assert mu == characteristic_poly(inst.zmon, max_degree=0).mu, inst.spec
         assert mults == {(bam.path, i): f.mult for bam in inst.annotated.bamboos
                            for i, f in enumerate(bam.faces)}, inst.spec
@@ -458,6 +491,41 @@ def test_criterion_14_milnor_number_and_n_from_puiseux_contacts(tree_corpus, uni
     total = len(tree_corpus) + len(unit_tree_corpus)
     print(f"criterion 14 PASS  mu and every N from the Puiseux contacts on {total} "
           f"trees, {deep_units} with a 1 below the root")
+
+
+def test_criterion_15_monodromy_zeta_from_the_splice_diagram(tree_corpus, unit_tree_corpus):
+    """The monodromy zeta function from the Puiseux contacts alone:
+    prod_faces (1 - t^N)^#classes * prod_bamboos (1 - t^N_top)^-1 *
+    (1 - t^beta_0)^-1, beta_0 the number of roots.  On one branch it is
+    Zariski's formula, checked on seeded chains of 1 to 4 levels."""
+    for inst in tree_corpus + unit_tree_corpus:
+        _, mults, tops = contact_oracle(inst.spec)
+        classes = {(bam.path, i): len(f.classes) for bam in inst.annotated.bamboos
+                   for i, f in enumerate(bam.faces)}
+        zeta = Counter()
+        for key, n in mults.items():
+            zeta[n] += classes[key]
+        for n in tops.values():
+            zeta[n] -= 1
+        zeta[root_count(inst.spec)] -= 1
+        assert {n: e for n, e in zeta.items() if e} == inst.zmon.exponents(), inst.spec
+    want = {4: -1, 6: -1, 12: 1, 13: -1, 26: 1}                  # (4; 6, 7)
+    assert zariski_zeta([(2, 3), (2, 1)]) == want
+    rng = random.Random(BRANCH_SEED)
+    for least in (2, 1):                    # a from 1 gives levels with a = 1
+        for _ in range(BRANCH_COUNT):
+            levels, depth = [], rng.randint(1, 4)
+            while len(levels) < depth:
+                a, b = rng.randint(least, 9), rng.randint(1, 9)
+                if gcd(a, b) == 1:
+                    levels.append((a, b))
+            branch = LEAF
+            for a, b in reversed(levels):
+                branch = Bamboo((Face(a, b, (branch,)),))
+            assert zariski_zeta(levels) == monodromy_zeta(annotate(branch)).exponents(), levels
+    total = len(tree_corpus) + len(unit_tree_corpus)
+    print(f"criterion 15 PASS  monodromy zeta from the Puiseux contacts on {total} trees, "
+          f"Zariski's formula on 2 x {BRANCH_COUNT} branches")
 
 
 def test_non_minimal_encodings_keep_the_invariants(tree_corpus, unit_tree_corpus):

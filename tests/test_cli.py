@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -21,6 +23,7 @@ from topzeta.zeta import zeta_general
 
 CUSP_JSON = {"faces": [{"a": 2, "b": 3, "classes": ["leaf"]}]}
 THREE_LEVEL_PATH = Path(__file__).parent / "golden" / "trees" / "three_level.json"
+CHAIN20_PATH = THREE_LEVEL_PATH.with_name("chain20.json")
 
 
 @pytest.fixture
@@ -300,6 +303,26 @@ def test_usage_errors():
     assert main(["frob"]) == EXIT_USAGE
     assert main(["fuzz", "--count", "0", "--seed", "1"]) == EXIT_USAGE
     assert main(["fuzz", "--seed", "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--count", "30", "--seed", "7"],
+    ["fuzz", "--count", "30", "--seed", "7", "--json"],
+    ["tree", str(CHAIN20_PATH), "--oracle"],
+    ["poly", "x^2+y^3"],
+], ids=["fuzz", "fuzz-json", "tree-oracle", "poly"])
+def test_a_reader_that_closed_stdout_gets_no_traceback(argv):
+    # the read end of the pipe is closed before the child writes: the child
+    # writes nothing more and exits with the code its command computed
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "topzeta", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr.decode()) == (EXIT_OK, "")
 
 
 def test_fuzz_runs_and_is_seeded(capsys, tmp_path, monkeypatch):

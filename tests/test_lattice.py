@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from topzeta.lattice import (MAX_DIVISORS, PrimitiveVector, Subdivision,
                              TooManyRays, X_FRAME, Y_FRAME,
-                             _regularize, admissible_subdivision, det,
-                             insert_rays, minimal_regular_refinement)
+                             admissible_subdivision, det, insert_rays,
+                             minimal_regular_refinement)
 
 
 def pv(a, b):
@@ -297,7 +297,7 @@ def test_insert_rays_matches_the_full_re_regularization():
             high_frame += len(chain) - 2 in cones
             extra = list({ray_in_cone(chain, j, rng): None for j in cones})
             union = sorted({*sub.vectors, *extra})
-            want = tuple(_regularize([X_FRAME, *union, Y_FRAME]))
+            want = tuple(minimal_regular_refinement(X_FRAME, *union, Y_FRAME))
             assert insert_rays(sub, extra).vectors == want, (sub, extra)
             nested += any(w in insert_rays(sub, [x]).vectors
                           for w in extra for x in extra if w != x)

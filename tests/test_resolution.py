@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from topzeta.cli import random_tree
 from topzeta.equitree import Bamboo, Face, LEAF, annotate
-from topzeta.lattice import PrimitiveVector
+from topzeta.lattice import (PrimitiveVector, X_FRAME, Y_FRAME,
+                             admissible_subdivision, insert_rays)
 from topzeta.resolution import (DivisorNode, ResolutionGraph, build_graph,
                                 build_graph_nondegenerate,
                                 chain_determinant_check, definitional_zeta)
@@ -86,6 +90,39 @@ def test_extra_rays_preserve_weighted_chi_data():
         assert len(exceptional(refined)) > len(exceptional(base))
         weighted = lambda g: sorted((n.mult, n.chi) for n in exceptional(g) if n.chi)
         assert weighted(refined) == weighted(base)
+
+
+def per_ray_refinement(tree, extra_rays, seed):
+    """Each bamboo's rays refined one ray at a time through insert_rays:
+    a random cone u, v of the subdivision so far, then p and q in 1..4,
+    and the ray (p u + q v) / gcd(p, q), drawn in that order."""
+    rng = random.Random(seed)
+    out = []
+    for bam in tree.bamboos:
+        sub = admissible_subdivision([PrimitiveVector(f.a, f.b) for f in bam.faces])
+        for _ in range(extra_rays):
+            rays = (X_FRAME, *sub.vectors, Y_FRAME)
+            j = rng.randrange(len(rays) - 1)
+            u, v = rays[j], rays[j + 1]
+            p = rng.randint(1, 4)
+            q = rng.randint(1, 4)
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            sub = insert_rays(sub, [PrimitiveVector(p * u.a + q * v.a, p * u.b + q * v.b)])
+        out.append(sub.vectors)
+    return out
+
+
+def test_refined_graph_is_the_per_ray_refinement():
+    # build_graph grows one ray list per bamboo; its rays, and so the
+    # random draws behind them, must be those of inserting one ray at a time
+    rng = random.Random(16)
+    for i in range(300):
+        tree = annotate(random_tree(rng))
+        for seed in (i, 1000 + i):
+            graph = build_graph(tree, extra_rays=3, seed=seed)
+            got = [tuple(graph.nodes[j].vector for j in chain.node_ids) for chain in graph.chains]
+            assert got == per_ray_refinement(tree, 3, seed), (tree, seed)
 
 
 def test_chain_determinants_cusp():
