@@ -1,7 +1,8 @@
 """Bivariate polynomial frontend: parsing, Newton polygon, nondegeneracy.
 
-Input polynomials are sparse maps from exponent pairs to nonzero rational
-coefficients.  The accepted grammar is deliberately tiny:
+Input polynomials are sparse maps from exponent pairs to nonzero
+coefficients: an ``int``, or a ``Fraction`` only where an ``a/b`` literal
+made one.  The accepted grammar is deliberately tiny:
 
     poly     = term ((+|-) term)*
     term     = [rational] [*] [x[^int]] [*] [y[^int]]
@@ -15,15 +16,16 @@ The compact faces of the Newton polygon are extracted with an exact
 integer lower-hull; each face carries its primitive inner normal (a, b),
 the lattice points along the face in steps of (b, -a) from the high-y
 end, and the face polynomial G read off those points.  Nondegeneracy is
-squarefreeness of every G, decided by gcd(G, G') over the rationals,
-which certifies simple roots over the complex numbers as well.
+squarefreeness of every G, decided over Z: gcd(G, G') of G cleared of
+denominators, by primitive pseudo-remainders, is by Gauss's lemma the gcd
+over Q up to a factor, and certifies simple roots over C as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import poly
 from .lattice import PrimitiveVector
@@ -51,7 +53,7 @@ class DegenerateCurveError(ValueError):
 
 
 def parse_poly(text: str) -> dict:
-    """Parse to a sparse map (exponent pair) -> nonzero Fraction."""
+    """Parse to a sparse map (exponent pair) -> nonzero int, or Fraction for a/b."""
     terms = {}
     i = 0
     n = len(text)
@@ -83,10 +85,10 @@ def parse_poly(text: str) -> dict:
             sign = -1 if text[i] == "-" else 1
             i = skip_ws(i + 1)
 
-        coef = Fraction(1)
+        coef = 1
         has_content = False
         if i < n and text[i].isdigit():
-            num, i = read_int(i)
+            coef, i = read_int(i)
             i = skip_ws(i)
             if i < n and text[i] == "/":
                 i = skip_ws(i + 1)
@@ -94,9 +96,7 @@ def parse_poly(text: str) -> dict:
                 den, i = read_int(i)
                 if den == 0:
                     raise ParseError("zero denominator", den_start)
-                coef = Fraction(num, den)
-            else:
-                coef = Fraction(num)
+                coef = Fraction(coef, den)
             has_content = True
             i = skip_ws(i)
             if i < n and text[i] == "*":
@@ -127,7 +127,7 @@ def parse_poly(text: str) -> dict:
         if i < n and text[i] not in "+-":
             raise ParseError(f"unexpected character {text[i]!r}", i)
         key = (ex, ey)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coef
+        terms[key] = terms.get(key, 0) + sign * coef
         if terms[key] == 0:
             del terms[key]
     if not terms:
@@ -165,7 +165,7 @@ def poly_to_str(p: dict) -> str:
 class NewtonFace:
     normal: PrimitiveVector
     lattice_points: tuple[tuple[int, int], ...]   # high-y end first
-    face_poly: tuple[Fraction, ...]               # G, constant term first
+    face_poly: tuple[int | Fraction, ...]         # G, constant term first
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def newton_faces(p: dict) -> list[NewtonFace]:
                              f"past the limit of {MAX_FACE_LENGTH}")
         points = tuple((v1[0] + j * normal.b, v1[1] - j * normal.a)
                        for j in range(g + 1))
-        coeffs = tuple(p.get(pt, Fraction(0)) for pt in points)
+        coeffs = tuple(p.get(pt, 0) for pt in points)
         assert coeffs[0] != 0 and coeffs[-1] != 0
         faces.append(NewtonFace(normal, points, coeffs))
     for f1, f2 in zip(faces, faces[1:]):
@@ -224,12 +224,13 @@ def newton_faces(p: dict) -> list[NewtonFace]:
 
 def nondegeneracy_check(faces) -> DegenerateWitness | None:
     """None when every face polynomial is squarefree; otherwise the first
-    offending face together with gcd(G, G')."""
+    offending face together with the monic gcd(G, G') over Q."""
     for face in faces:
-        g = poly.monic_gcd(list(face.face_poly),
-                           poly.derivative(list(face.face_poly)))
-        if len(g) - 1 >= 1:
-            return DegenerateWitness(face, tuple(g))
+        den = lcm(*(c.denominator for c in face.face_poly))
+        G = [c.numerator * (den // c.denominator) for c in face.face_poly]
+        g = poly.primitive_gcd(G, poly.derivative(G))
+        if len(g) > 1:
+            return DegenerateWitness(face, tuple(Fraction(c, g[-1]) for c in g))
     return None
 
 

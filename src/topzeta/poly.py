@@ -1,13 +1,14 @@
 """Dense univariate polynomial helpers on plain coefficient lists.
 
 Coefficients are listed from the constant term upward; the empty list is
-the zero polynomial.  Entries may be ``int`` or ``fractions.Fraction``,
-mixed freely; everything is exact.
+the zero polynomial.  ``add``, ``mul`` and ``derivative`` take ``int`` or
+``fractions.Fraction`` entries, mixed freely; the gcd works on ``int``
+lists alone, by pseudo-remainders that never leave Z.  Everything is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 
 def trim(coeffs):
@@ -43,33 +44,31 @@ def derivative(f):
     return trim([i * c for i, c in enumerate(f)][1:])
 
 
-def divmod_frac(f, g):
-    """Quotient and remainder over the rationals."""
-    g = trim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in trim(f)]
-    if len(rem) < len(g):
-        return [], rem
-    inv = Fraction(1) / Fraction(g[-1])
-    quo = [Fraction(0)] * (len(rem) - len(g) + 1)
-    for i in range(len(rem) - len(g), -1, -1):
-        c = rem[i + len(g) - 1] * inv
+def pseudo_rem(f, g):
+    """The remainder of f by g over Q times a nonzero integer, for integer
+    lists: before each nonzero quotient term the remainder is scaled by
+    g's leading coefficient, so every step stays in Z."""
+    rem = list(f)
+    n, lead = len(g) - 1, g[-1]
+    low = [(j, b) for j, b in enumerate(g[:-1]) if b]
+    while len(rem) > n:
+        c = rem.pop()
         if c:
-            quo[i] = c
-            for j, b in enumerate(g):
-                rem[i + j] -= c * b
-    return trim(quo), trim(rem)
+            if lead != 1:
+                rem = [lead * r for r in rem]
+            k = len(rem) - n
+            for j, b in low:
+                rem[k + j] -= c * b
+    return trim(rem)
 
 
-def monic_gcd(f, g):
-    """Monic gcd over the rationals by the Euclidean algorithm."""
-    a = [Fraction(c) for c in trim(f)]
-    b = [Fraction(c) for c in trim(g)]
-    while b:
-        _, r = divmod_frac(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    inv = Fraction(1) / a[-1]
-    return [c * inv for c in a]
+def primitive_gcd(f, g):
+    """gcd of integer lists f and g != 0, primitive with a positive leading
+    coefficient, by primitive pseudo-remainders: each divisor is divided by
+    its content, until a remainder is zero.  By Gauss's lemma it is the gcd
+    over Q up to a rational factor, so it has the same degree."""
+    while g:
+        d = gcd(*g) if g[-1] > 0 else -gcd(*g)
+        g = [c // d for c in g]
+        f, g = g, pseudo_rem(f, g)
+    return f

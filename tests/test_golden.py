@@ -17,6 +17,9 @@ first toric modification, is ``(2, 1)``.
 ``x^2*y^2 - x^5 - y^5 + x^3*y^3`` with ``--oracle`` is the golden case
 whose graph sum has an edge between divisors of proportional
 ``(N, nu)``: the stratum term over the square of one factor.
+``1/2*y^4 - 3/4*x^3*y^2 + 5/3*x^7`` is the polynomial case with rational
+coefficients: its face polynomials ``(1/2, -3/4)`` and ``(-3/4, 0, 5/3)``
+clear to ``(2, -3)`` and ``(-9, 0, 20)`` before the squarefree check.
 A change that means to keep the output must leave them as they are.
 
 ``python tests/test_golden.py``, run with ``src`` on ``PYTHONPATH``,
@@ -53,6 +56,7 @@ CASES = {
     "deep-face-oracle": ["poly", "y^3 - x^1001", "--oracle"],
     "fuzz-seed7": ["fuzz", "--count", "20", "--seed", "7"],
     "puiseux-467-oracle": ["tree", str(TREES / "puiseux_4_6_7.json"), "--oracle"],
+    "rational-faces": ["poly", "1/2*y^4 - 3/4*x^3*y^2 + 5/3*x^7"],
 }
 
 

@@ -5,6 +5,7 @@ from math import comb, gcd, lcm
 
 import pytest
 
+from rational_euclid import divmod_frac
 from topzeta import poly
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.monodromy import (CycloProduct, acampo_from_graph,
@@ -157,7 +158,7 @@ def divided_expansion(factors):
             ref = poly.mul(ref, [1] + [0] * (n - 1) + [-1])
     for n, e in factors:
         for _ in range(-e):
-            ref, rem = poly.divmod_frac(ref, [1] + [0] * (n - 1) + [-1])
+            ref, rem = divmod_frac(ref, [1] + [0] * (n - 1) + [-1])
             assert rem == []
     return ref
 

@@ -1,8 +1,15 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from topzeta.newton import (DegenerateCurveError, ParseError, newton_faces,
+from rational_euclid import monic_gcd
+from test_golden import CASES
+from topzeta import poly
+from topzeta.cli import EXIT_DEGENERATE, main
+from topzeta.lattice import PrimitiveVector
+from topzeta.newton import (DegenerateCurveError, NewtonFace, ParseError, newton_faces,
                             nondegeneracy_check, parse_poly, poly_to_str,
                             to_face_specs)
 from topzeta.resolution import build_graph_nondegenerate, definitional_zeta
@@ -156,6 +163,101 @@ def test_nondegeneracy_examples():
     assert nondegeneracy_check(newton_faces(parse_poly("x^2-y^2"))) is None
     witness = nondegeneracy_check(newton_faces(parse_poly("x^2-2*x*y+y^2")))
     assert witness is not None and witness.gcd_degree == 1
+
+
+def test_coefficients_stay_integers():
+    """Integer input is parsed, and read off the faces, as int: Fraction
+    comes only from an a/b literal."""
+    assert all(type(c) is int for c in parse_poly("y^2 - x^3").values())
+    texts = ["x^12 + y^12"] + [argv[1] for argv in CASES.values()
+                               if argv[0] == "poly" and "/" not in argv[1]]
+    assert len(texts) > 5
+    for text in texts:
+        for face in newton_faces(parse_poly(text)):
+            assert all(type(c) is int for c in face.face_poly), text
+    assert type(parse_poly("1/2*x^2*y")[(2, 1)]) is Fraction
+    witness = nondegeneracy_check(newton_faces(parse_poly("x^2-2*x*y+y^2")))
+    assert witness.gcd == (Fraction(-1), Fraction(1))
+    assert all(type(c) is Fraction for c in witness.gcd)
+
+
+def test_degenerate_exit_message(capsys):
+    assert main(["poly", "y^3 - 3/1*x^2*y + 2*x^3"]) == EXIT_DEGENERATE
+    assert capsys.readouterr().err == ("error: degenerate along the face with normal (1,1): "
+                                       "gcd(G, G') has degree 1\n")
+
+
+GCD_SEED = 23
+GCD_COUNT = 2400
+
+
+def _random_factor(rng):
+    """A factor of degree 1..3 with nonzero constant term; a third of them
+    have Fraction coefficients."""
+    f = [rng.choice([-1, 1]) * rng.randint(1, 6)]
+    f += [rng.randint(-6, 6) for _ in range(rng.randint(0, 2))]
+    f.append(rng.choice([-1, 1]) * rng.randint(1, 4))
+    if rng.random() < 1 / 3:
+        f = [Fraction(c, rng.randint(1, 5)) for c in f]
+    return f
+
+
+def _random_face_poly(rng, i):
+    """A face polynomial G (nonzero at both ends, degree >= 1); every
+    fourth is sparse c0 + c t^n, or its square, with long runs of zeros."""
+    if i % 4 == 3:
+        n = rng.randint(20, 120)
+        G = [rng.choice([-1, 1]) * rng.randint(1, 9)] + [0] * (n - 1) + [rng.randint(-9, 9) or 1]
+        return poly.mul(G, G) if rng.random() < 0.3 else G
+    G = [rng.choice([-1, 1]) * Fraction(rng.randint(1, 7), rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 3)):
+        G = poly.mul(G, _random_factor(rng))
+    if rng.random() < 0.5:                      # a repeated factor
+        f = _random_factor(rng)
+        for _ in range(rng.randint(2, 3)):
+            G = poly.mul(G, f)
+    return [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in G]
+
+
+def test_integer_gcd_matches_rational_euclid(monkeypatch):
+    """gcd(G, G') over Z by primitive pseudo-remainders, and the witness
+    read off it, against the Euclidean algorithm over Q."""
+    scaled = []
+    pseudo_rem = poly.pseudo_rem
+
+    def recording_rem(f, g):
+        scaled.append(len(f) >= len(g) and g[-1] != 1)
+        return pseudo_rem(f, g)
+
+    monkeypatch.setattr(poly, "pseudo_rem", recording_rem)
+    rng = random.Random(GCD_SEED)
+    shapes = dict(repeated=0, fraction=0, negative_lead=0, scaled_remainder=0, sparse=0)
+    for i in range(GCD_COUNT):
+        G = _random_face_poly(rng, i)
+        ref = monic_gcd(G, poly.derivative(G))
+        den = lcm(*(c.denominator for c in G))
+        Z = [int(c * den) for c in G]
+        scaled.clear()
+        g = poly.primitive_gcd(Z, poly.derivative(Z))
+        # the primitive associate of the monic reference
+        ref_den = lcm(*(c.denominator for c in ref))
+        ints = [int(c * ref_den) for c in ref]
+        assert g == [c // gcd(*ints) for c in ints], G
+        assert len(g) == len(ref) and [Fraction(c, g[-1]) for c in g] == ref, G
+        face = NewtonFace(PrimitiveVector(1, 1), tuple((j, len(G) - 1 - j) for j in range(len(G))),
+                          tuple(G))
+        witness = nondegeneracy_check([face])
+        if len(ref) > 1:
+            assert witness is not None and witness.gcd == tuple(ref), G
+        else:
+            assert witness is None, G
+        shapes["repeated"] += len(ref) > 1
+        shapes["fraction"] += any(type(c) is Fraction for c in G)
+        shapes["negative_lead"] += G[-1] < 0
+        shapes["scaled_remainder"] += any(scaled[1:])   # divisor a remainder, not G''
+        shapes["sparse"] += G.count(0) >= 19
+    print(shapes)
+    assert min(shapes.values()) >= 200, shapes
 
 
 def test_to_face_specs():
