@@ -4,11 +4,12 @@ Input polynomials are sparse maps from exponent pairs to nonzero
 coefficients: an ``int``, or a ``Fraction`` only where an ``a/b`` literal
 made one.  The accepted grammar is deliberately tiny:
 
-    poly     = term ((+|-) term)*
-    term     = [rational] [*] [x[^int]] [*] [y[^int]]
+    poly     = [+|-] term ((+|-) term)*
+    term     = [rational [*]] [x[^int] [*]] [y[^int]], not empty
     rational = int | int/int
 
-with whitespace ignored everywhere and no parentheses.  The curve must
+where int is a run of decimal digits, whitespace may stand between
+tokens but not inside an int, and there are no parentheses.  The curve must
 vanish at the origin (no constant term) and must not be divisible by x
 or y: monomial factors have to be divided out by the caller.
 
@@ -23,6 +24,7 @@ over Q up to a factor, and certifies simple roots over C as well.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -52,82 +54,53 @@ class DegenerateCurveError(ValueError):
         self.witness = witness
 
 
+# One term: its sign, which the first term may leave out, and its tokens,
+# with whitespace between them, up to the sign of the next term.  The digits
+# after '/' and '^' may be missing, so that their absence is reported where
+# they should stand.
+_TERM = re.compile(r"""
+    \s* (?P<sign>[+-]?) \s*
+    (?: (?P<num>\d+) \s* (?: / \s* (?P<den>\d*) \s* )? (?: \* \s* )? )?
+    (?: (?P<x>x) \s* (?: \^ \s* (?P<ex>\d*) \s* )? (?: \* \s* )? )?
+    (?: (?P<y>y) \s* (?: \^ \s* (?P<ey>\d*) \s* )? )?
+""", re.VERBOSE)
+
+
+def _read_int(m, group):
+    digits = m[group]
+    if not digits:
+        raise ParseError("expected digits", m.start(group))
+    try:
+        return int(digits)
+    except ValueError:      # past Python's digit limit
+        raise ParseError(f"cannot read the {len(digits)}-digit integer", m.start(group)) from None
+
+
 def parse_poly(text: str) -> dict:
     """Parse to a sparse map (exponent pair) -> nonzero int, or Fraction for a/b."""
-    terms = {}
-    i = 0
-    n = len(text)
-
-    def skip_ws(j):
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def read_int(j):
-        start = j
-        while j < n and text[j].isdigit():
-            j += 1
-        if j == start:
-            raise ParseError("expected digits", start)
-        try:
-            return int(text[start:j]), j
-        except ValueError:      # past Python's digit limit, or a digit int() refuses
-            raise ParseError(f"cannot read the {j - start}-digit integer", start) from None
-
-    i = skip_ws(i)
-    if i == n:
+    if not text.strip():
         raise ParseError("empty input", 0)
+    terms = {}
+    i, n = 0, len(text)
     while i < n:
-        # a sign is optional, and found before every term but the first:
-        # each term must end at '+', '-' or the end of the input
-        sign = 1
-        if text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i = skip_ws(i + 1)
-
-        coef = 1
-        has_content = False
-        if i < n and text[i].isdigit():
-            coef, i = read_int(i)
-            i = skip_ws(i)
-            if i < n and text[i] == "/":
-                i = skip_ws(i + 1)
-                den_start = i
-                den, i = read_int(i)
-                if den == 0:
-                    raise ParseError("zero denominator", den_start)
-                coef = Fraction(coef, den)
-            has_content = True
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-        ex = ey = 0
-        if i < n and text[i] == "x":
-            i = skip_ws(i + 1)
-            ex = 1
-            if i < n and text[i] == "^":
-                i = skip_ws(i + 1)
-                ex, i = read_int(i)
-            has_content = True
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-        if i < n and text[i] == "y":
-            i = skip_ws(i + 1)
-            ey = 1
-            if i < n and text[i] == "^":
-                i = skip_ws(i + 1)
-                ey, i = read_int(i)
-            has_content = True
-            i = skip_ws(i)
-        if not has_content:
+        m = _TERM.match(text, i)
+        sign, num, den, x, ex, y, ey = m.groups()
+        i = m.end()
+        if num is None and x is None and y is None:
             if i < n:
                 raise ParseError(f"unexpected character {text[i]!r}", i)
             raise ParseError("expected a term", i - 1)
+        coef = 1 if num is None else _read_int(m, "num")
+        if den is not None:
+            d = _read_int(m, "den")
+            if d == 0:
+                raise ParseError("zero denominator", m.start("den"))
+            coef = Fraction(coef, d)
+        key = (0 if x is None else 1 if ex is None else _read_int(m, "ex"),
+               0 if y is None else 1 if ey is None else _read_int(m, "ey"))
         if i < n and text[i] not in "+-":
             raise ParseError(f"unexpected character {text[i]!r}", i)
-        key = (ex, ey)
-        terms[key] = terms.get(key, 0) + sign * coef
+        terms[key] = terms.get(key, 0) + (-coef if sign == "-" else coef)
         if terms[key] == 0:
             del terms[key]
     if not terms:

@@ -250,13 +250,15 @@ def test_poly_command_parse_error(capsys):
     assert main(["poly", "x^2 + ("]) == EXIT_INVALID
 
 
-@pytest.mark.parametrize("expr", ["x^%s + y^2" % ("1" * 5000), "x^\u00b2 + y^2"],
-                         ids=["past-the-digit-limit", "superscript-digit"])
-def test_poly_command_points_at_an_unreadable_integer(capsys, expr):
+@pytest.mark.parametrize("expr, message", [
+    ("x^%s + y^2" % ("1" * 5000), "cannot read the 5000-digit integer"),
+    # a digit, but not a decimal one: no exponent stands where one should
+    ("x^\u00b2 + y^2", "expected digits"),
+], ids=["past-the-digit-limit", "superscript-digit"])
+def test_poly_command_points_at_an_unreadable_integer(capsys, expr, message):
     assert main(["poly", expr]) == EXIT_INVALID
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: cannot read the ")
-    assert captured.err.endswith("-digit integer at index 2\n")
+    assert captured.out == "" and captured.err == f"error: {message} at index 2\n"
 
 
 def test_poly_command_refuses_a_face_past_the_length_limit(capsys, monkeypatch):

@@ -20,6 +20,9 @@ whose graph sum has an edge between divisors of proportional
 ``1/2*y^4 - 3/4*x^3*y^2 + 5/3*x^7`` is the polynomial case with rational
 coefficients: its face polynomials ``(1/2, -3/4)`` and ``(-3/4, 0, 5/3)``
 clear to ``(2, -3)`` and ``(-9, 0, 20)`` before the squarefree check.
+`` 1/3 y ^ 3 + 2 x^4y - x ^ 7 `` pins the parser's grammar: whitespace
+between tokens and at both ends, an implicit product, an ``a/b``
+coefficient, and the ``expr`` echoed as it was typed.
 A change that means to keep the output must leave them as they are.
 
 ``python tests/test_golden.py``, run with ``src`` on ``PYTHONPATH``,
@@ -57,6 +60,7 @@ CASES = {
     "fuzz-seed7": ["fuzz", "--count", "20", "--seed", "7"],
     "puiseux-467-oracle": ["tree", str(TREES / "puiseux_4_6_7.json"), "--oracle"],
     "rational-faces": ["poly", "1/2*y^4 - 3/4*x^3*y^2 + 5/3*x^7"],
+    "spaced-poly": ["poly", " 1/3 y ^ 3 + 2 x^4y - x ^ 7 "],
 }
 
 

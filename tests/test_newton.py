@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from rational_euclid import monic_gcd
+from reference_parser import parse_poly as reference_parse_poly
 from test_golden import CASES
 from topzeta import poly
 from topzeta.cli import EXIT_DEGENERATE, main
@@ -63,14 +64,24 @@ def test_parse_implicit_products():
     assert parse_poly("xy") == {(1, 1): 1}
 
 
-def test_parse_error_positions():
+@pytest.mark.parametrize("text, message", [
+    ("", "empty input at index 0"),
+    ("x +", "expected a term at index 2"),
+    ("x ++ y", "unexpected character '+' at index 3"),
+    ("x^ + y", "expected digits at index 3"),
+    ("1/ x", "expected digits at index 3"),
+    ("1/0*x", "zero denominator at index 2"),
+    ("x^2 + z", "unexpected character 'z' at index 6"),
+    ("2 3x", "unexpected character '3' at index 2"),
+    ("x^" + "9" * 5000, "cannot read the 5000-digit integer at index 2"),
+], ids=["empty", "sign-at-the-end", "two-signs", "no-exponent", "no-denominator",
+        "zero-denominator", "letter-outside-the-grammar", "space-in-an-integer",
+        "past-the-digit-limit"])
+def test_parse_error_positions(text, message):
     with pytest.raises(ParseError) as err:
-        parse_poly("x^2 + z")
-    assert err.value.position == 6
-    with pytest.raises(ParseError):
-        parse_poly("")
-    with pytest.raises(ParseError):
-        parse_poly("x ++ y")
+        parse_poly(text)
+    assert str(err.value) == message
+    assert err.value.position == int(message.rsplit(" ", 1)[1])
 
 
 def test_parse_constant_term_rejected():
@@ -86,6 +97,84 @@ def test_printer_roundtrip():
         printed = poly_to_str(p)
         assert parse_poly(printed) == p
         assert poly_to_str(parse_poly(printed)) == printed
+
+
+PARSE_SEED = 29
+PARSE_COUNT = 20_000            # random strings, and as many near-valid polynomials
+WHITESPACE = " \t\n\x1c"
+# the grammar's characters, whitespace, decimal digits that are not ASCII,
+# and characters outside the grammar
+ALPHABET = "xy0123456789+-*/^" + WHITESPACE + "\uff13\u0663" + "z(.X"
+SUPERSCRIPT_TWO = "\u00b2"     # a digit, but not a decimal one
+
+
+def _parse_outcome(parse, text):
+    """The parsed map with each value's type, or the error's type and message."""
+    try:
+        return {key: (c, type(c)) for key, c in parse(text).items()}
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _near_valid(rng):
+    """A polynomial of the grammar with random spacing, now and then one whose
+    terms cancel, with one or two characters inserted."""
+    def digits():
+        if rng.random() < 0.016:            # about Python's 4,300-digit limit of int()
+            return "7" * rng.randint(4299, 4310)
+        return "".join(rng.choice("0123456789\uff13\u0663") for _ in range(rng.randint(1, 2)))
+
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        term = []
+        if rng.random() < 0.5:
+            term.append(digits())
+            if rng.random() < 0.3:
+                term += ["/", rng.choice(["0", digits(), digits()])]
+            if rng.random() < 0.5:
+                term.append("*")
+        for var in "xy":
+            if rng.random() < 0.7:
+                term.append(var)
+                if rng.random() < 0.6:
+                    term += ["^", digits()]
+                if var == "x" and rng.random() < 0.5:
+                    term.append("*")
+        terms.append([rng.choice("+-")] + term)
+    if rng.random() < 0.2:
+        terms += [["-" if t[0] == "+" else "+"] + t[1:] for t in terms]
+    if rng.random() < 0.5:
+        terms[0] = terms[0][1:]
+    tokens = [token for term in terms for token in term]
+    text = "".join(rng.choice(["", "", " ", rng.choice(WHITESPACE)]) + token for token in tokens)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(ALPHABET + SUPERSCRIPT_TWO) + text[i:]
+    return text
+
+
+def test_parser_matches_the_reference_scanner():
+    """parse_poly reads every string as the character scanner it replaced
+    does: the same map and value types, or the same error and message.
+    Strings with a digit that is not decimal, as a superscript, are left
+    out: the scanner took it for a digit and failed in int(), where the
+    pattern does not match it."""
+    rng = random.Random(PARSE_SEED)
+    texts = ["".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 12)))
+             for _ in range(PARSE_COUNT)]
+    texts += [_near_valid(rng) for _ in range(PARSE_COUNT)]
+    classes = {}
+    for text in texts:
+        if SUPERSCRIPT_TWO in text:
+            continue
+        outcome = _parse_outcome(parse_poly, text)
+        assert outcome == _parse_outcome(reference_parse_poly, text), repr(text[:80])
+        kind = "valid" if isinstance(outcome, dict) else " ".join(outcome[1].split()[:2])
+        classes[kind] = classes.get(kind, 0) + 1
+    assert set(classes) == {
+        "valid", "empty input", "expected a", "unexpected character", "expected digits",
+        "zero denominator", "cannot read", "zero polynomial", "nonzero constant"}
+    assert min(classes.values()) >= 200, classes
 
 
 # --- Newton polygon ----------------------------------------------------------
