@@ -63,6 +63,16 @@ X_FRAME = PrimitiveVector(1, 0)
 Y_FRAME = PrimitiveVector(0, 1)
 
 
+def _parent(a: int, b: int) -> PrimitiveVector:
+    """The Stern-Brocot parent ``(a, b)`` of a ray, made without the checks
+    of ``PrimitiveVector``: it has determinant one with the ray, so it is
+    primitive, and both of its coordinates are nonnegative."""
+    w = object.__new__(PrimitiveVector)
+    object.__setattr__(w, "a", a)
+    object.__setattr__(w, "b", b)
+    return w
+
+
 def det(p: PrimitiveVector, q: PrimitiveVector) -> int:
     """Determinant of the 2x2 matrix with columns p and q."""
     return p.a * q.b - p.b * q.a
@@ -82,7 +92,7 @@ class Subdivision:
         object.__setattr__(self, "vectors", tuple(self.vectors))
         chain = (X_FRAME, *self.vectors, Y_FRAME)
         for u, v in zip(chain, chain[1:]):
-            if det(u, v) != 1:
+            if u.a * v.b - u.b * v.a != 1:
                 raise ValueError(f"subdivision is not regular at {u}, {v}")
 
 
@@ -146,28 +156,28 @@ def minimal_regular_refinement(*rays) -> list:
     """
     out = []
     for u, v in zip(rays, rays[1:]):
-        d = det(u, v)
+        d = u.a * v.b - u.b * v.a
         if d <= 0:
             raise ValueError(f"rays {u}, {v} do not span a cone: det = {d}")
         while d > 1:
             a = pow(-u.b, -1, u.a)          # u's right parent (a, b)
             b = (1 + u.b * a) // u.a
-            if a * v.b - b * v.a <= 0:      # not below v
+            e = a * v.b - b * v.a
+            if e <= 0:                      # not below v
                 break
-            u = PrimitiveVector(a, b)
+            u, d = _parent(a, b), e
             out.append(u)
             if len(out) > MAX_DIVISORS:
                 raise TooManyRays(v)
-            d = det(u, v)
         if d > 1:
             top, hi = len(out), v
             while d > 1:
                 b = pow(-hi.a, -1, hi.b)        # hi's left parent
-                hi = PrimitiveVector((1 + hi.a * b) // hi.b, b)
+                hi = _parent((1 + hi.a * b) // hi.b, b)
                 out.append(hi)
                 if len(out) > MAX_DIVISORS:
                     raise TooManyRays(v)
-                d = det(u, hi)
+                d = u.a * b - u.b * hi.a
             out[top:] = reversed(out[top:])
         if v is not rays[-1]:
             out.append(v)

@@ -8,8 +8,9 @@ made one.  The accepted grammar is deliberately tiny:
     term     = [rational [*]] [x[^int] [*]] [y[^int]], not empty
     rational = int | int/int
 
-where int is a run of decimal digits, whitespace may stand between
-tokens but not inside an int, and there are no parentheses.  The curve must
+where int is a run of decimal digits, a * stands before a factor of its
+term, whitespace may stand between tokens but not inside an int, and
+there are no parentheses.  The curve must
 vanish at the origin (no constant term) and must not be divisible by x
 or y: monomial factors have to be divided out by the caller.
 
@@ -57,11 +58,12 @@ class DegenerateCurveError(ValueError):
 # One term: its sign, which the first term may leave out, and its tokens,
 # with whitespace between them, up to the sign of the next term.  The digits
 # after '/' and '^' may be missing, so that their absence is reported where
-# they should stand.
+# they should stand; a '*' before the end of the term is left unmatched, so
+# that it is reported as the character that ends the term.
 _TERM = re.compile(r"""
     \s* (?P<sign>[+-]?) \s*
-    (?: (?P<num>\d+) \s* (?: / \s* (?P<den>\d*) \s* )? (?: \* \s* )? )?
-    (?: (?P<x>x) \s* (?: \^ \s* (?P<ex>\d*) \s* )? (?: \* \s* )? )?
+    (?: (?P<num>\d+) \s* (?: / \s* (?P<den>\d*) \s* )? (?: \* (?! \s* (?:[+-]|\Z) ) \s* )? )?
+    (?: (?P<x>x) \s* (?: \^ \s* (?P<ex>\d*) \s* )? (?: \* (?! \s* (?:[+-]|\Z) ) \s* )? )?
     (?: (?P<y>y) \s* (?: \^ \s* (?P<ey>\d*) \s* )? )?
 """, re.VERBOSE)
 
@@ -89,7 +91,7 @@ def parse_poly(text: str) -> dict:
         if num is None and x is None and y is None:
             if i < n:
                 raise ParseError(f"unexpected character {text[i]!r}", i)
-            raise ParseError("expected a term", i - 1)
+            raise ParseError("expected a term", m.start("sign"))
         coef = 1 if num is None else _read_int(m, "num")
         if den is not None:
             d = _read_int(m, "den")

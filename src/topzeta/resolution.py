@@ -8,7 +8,8 @@ of the segment ``P_i <= T < P_(i+1)`` the multiplicity
 the divisors in slope order, hangs each sub-bamboo off its attachment
 face, and attaches one branch node (multiplicity and weight both 1, the
 curve being reduced) per leaf.  Euler characteristics of the open strata
-are ``2 - degree`` for the exceptional curves.
+are ``2 - degree`` for the exceptional curves.  A node is a
+``DivisorNode``, a named tuple.
 
 ``definitional_zeta`` then evaluates the stratified sum
 ``sum chi(E_I°) * prod 1/(N_i s + nu_i)`` over the strata meeting the
@@ -33,12 +34,11 @@ from typing import NamedTuple
 
 from .equitree import AnnotatedTree, Leaf, annotate_faces
 from .lattice import (MAX_DIVISORS, PrimitiveVector, Subdivision, TooManyRays, X_FRAME,
-                      Y_FRAME, admissible_subdivision, det, minimal_regular_refinement)
+                      Y_FRAME, admissible_subdivision, minimal_regular_refinement)
 from .zeta import RationalFunction, rf_sum
 
 
-@dataclass(frozen=True)
-class DivisorNode:
+class DivisorNode(NamedTuple):
     id: int
     kind: str                          # "exceptional" | "branch"
     vector: PrimitiveVector | None     # ray of an exceptional divisor
@@ -84,9 +84,9 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
     principal_ids = {}                  # bamboo path -> node id of each face
     used = 0
     for bam in tree.bamboos:
-        principal = [PrimitiveVector(f.a, f.b) for f in bam.faces]
         try:
-            rays = [X_FRAME, *admissible_subdivision(principal).vectors, Y_FRAME]
+            rays = [X_FRAME, *admissible_subdivision(
+                [PrimitiveVector(f.a, f.b) for f in bam.faces]).vectors, Y_FRAME]
             for _ in range(extra_rays):
                 # w = (p u + q v) / gcd(p, q) lies strictly inside the cone u, v
                 j = rng.randrange(len(rays) - 1)
@@ -101,23 +101,30 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
                 raise TooManyRays(vectors[MAX_DIVISORS - used])
         except TooManyRays as exc:
             # name the face whose cone holds the ray, or the last face
-            face = min(sum(det(p, exc.ray) > 0 for p in principal), len(principal) - 1)
+            face = min(sum(f.a * exc.ray.b > f.b * exc.ray.a for f in bam.faces),
+                       len(bam.faces) - 1)
             where = "".join(f"/faces/{i}/classes/{l}" for i, l in bam.path)
             raise ValueError(f"resolution graph needs more than {MAX_DIVISORS} "
                              f"divisors at path {where}/faces/{face}") from None
         alphas = [bam.base_mult] + [f.alpha for f in bam.faces]
         betas = [bam.beta0] + [f.beta for f in bam.faces]
+        base_nu = bam.base_nu
         # the chain in slope order: a ray's segment is the number of
-        # principal rays at or below it, so it only moves forward
+        # principal rays at or below it, the last of them the ray itself
+        # when its coordinates are those of the next face; the list holds
+        # every principal ray, so the walk passes them all
+        principal = [(f.a, f.b) for f in bam.faces] + [(0, 0)]
         first, seg, segs, pids = len(raw), 0, [], []
+        pa, pb = principal[0]
         for t in vectors:
-            while seg < len(principal) and det(principal[seg], t) >= 0:
-                seg += 1
-            if seg and principal[seg - 1] == t:
+            a, b = t.a, t.b
+            if a == pa and b == pb:
                 pids.append(len(raw))
-            raw.append(("exceptional", t, t.a * alphas[seg] + t.b * betas[seg],
-                        t.a * bam.base_nu + t.b))
+                seg += 1
+                pa, pb = principal[seg]
+            raw.append(("exceptional", t, a * alphas[seg] + b * betas[seg], a * base_nu + b))
             segs.append(seg)
+        assert seg == len(bam.faces), "a principal ray is missing from its chain"
         ids = range(first, len(raw))
         edges += zip(ids, ids[1:])
         chains.append(ChainRecord(bam.path, tuple(ids), tuple(segs),
@@ -135,8 +142,8 @@ def build_graph(tree: AnnotatedTree, *, extra_rays: int = 0, seed: int = 0) -> R
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
-    nodes = tuple(DivisorNode(i, kind, t, n, nu, None if t is None else 2 - degree[i])
-                  for i, (kind, t, n, nu) in enumerate(raw))
+    nodes = tuple([DivisorNode(i, kind, t, n, nu, None if t is None else 2 - degree[i])
+                   for i, (kind, t, n, nu) in enumerate(raw)])
     return ResolutionGraph(nodes, tuple(edges), tuple(chains))
 
 

@@ -10,12 +10,12 @@ term of the closed form read off the toric-modification graph.
 ``rf_sum`` adds such stratum terms ``(c, (f,))`` and ``(c, (f, g))``,
 with ``f, g = (N, nu)``, in partial fractions: a residue map
 ``((N, nu), k) -> c`` over primitive linear factors with ``N >= 1``,
-zero entries dropped.  Each term is split in one step.  A factor's
-content and sign move into the term's integer denominator ``D``, at
-first the coefficient's denominator, and a factor with ``N = 0`` moves
-there whole.  What is left is one primitive factor ``f``, where ``c`` is
-the residue at ``f``; or two, ``f = N s + nu`` and ``g = M s + mu``,
-split by
+zero entries dropped.  Each term is split in one step, and each distinct
+factor once per sum.  A factor's content and sign move into the term's
+integer denominator ``D``, at first the coefficient's denominator, and a
+factor with ``N = 0`` moves there whole.  What is left is one primitive
+factor ``f``, where ``c`` is the residue at ``f``; or two,
+``f = N s + nu`` and ``g = M s + mu``, split by
 
     1 / (f g) = (N / f - M / g) / d,   d = N mu - M nu,
 
@@ -167,41 +167,60 @@ def poly_str(coeffs, var):
     return "".join(terms)
 
 
+class _FactorSplits(dict):
+    """A factor ``(N, nu)`` split once: the content and sign that move
+    into a term's denominator, and the primitive factor, or all of the
+    factor and None when ``N = 0``; the denominator may be negative."""
+
+    def __missing__(self, f):
+        n, v = f
+        if n == 0 == v:
+            raise ValueError("(0, 0) is not a linear factor")
+        g = gcd(n, v) if n > 0 else -gcd(n, v) if n else v
+        split = self[f] = g, (n // g, v // g) if n else None
+        return split
+
+
 def rf_sum(terms) -> RationalFunction:
     """Sum of stratum terms ``(c, den)``: a rational ``c`` over the one or
     two linear factors ``(N, nu)`` of ``den``, at least one of them with
     ``N != 0``, added in partial fractions, which the result holds as its
-    ``parts``.  Any other term raises ``ValueError``."""
+    ``parts``.  A factor is a hashable pair, a tuple, not a list.  Any
+    other term raises ``ValueError``."""
     groups = {}     # denominator -> residues over it
+    split = _FactorSplits()     # each distinct factor is split once per sum
     for coef, den in terms:
-        coef = coef if isinstance(coef, int) else Fraction(coef)
-        a, denom, factors = coef.numerator, coef.denominator, []
-        if len(den) > 2:
-            raise ValueError("a stratum term has one or two factors")
-        for n, v in den:
-            if (n, v) == (0, 0):
-                raise ValueError("(0, 0) is not a linear factor")
-            # the content and sign of the factor, or all of it when N = 0,
-            # move into the denominator, which may be negative
-            g = gcd(n, v) if n > 0 else -gcd(n, v) if n else v
+        if isinstance(coef, int):
+            a, denom = coef, 1
+        else:
+            coef = Fraction(coef)
+            a, denom = coef.numerator, coef.denominator
+        if len(den) == 2:
+            g, f = split[den[0]]
+            h, p = split[den[1]]
+            denom *= g * h
+            if f is None:
+                f, p = p, None
+        elif len(den) == 1:
+            g, f = split[den[0]]
             denom *= g
-            if n:
-                factors.append((n // g, v // g))
-        if not factors:
+            p = None
+        elif den:
+            raise ValueError("a stratum term has one or two factors")
+        else:
+            f = None
+        if f is None:
             raise ValueError("a stratum term needs a factor with N != 0")
-        f = factors[0]
-        if len(factors) == 2 and f != factors[1]:
-            # c / (f g) = (n / f - m / g) c / d, d = n mu - m v
-            (n, v), g = f, factors[1]
-            m, mu = g
-            d = n * mu - m * v
-            res = groups.setdefault(denom * d, {})
-            res[g, 1] = res.get((g, 1), 0) - a * m
+        if p is not None and p != f:
+            # c / (f p) = (n / f - m / p) c / d, d = n mu - m v
+            (n, v), (m, mu) = f, p
+            res = groups.setdefault(denom * (n * mu - m * v), {})
+            res[p, 1] = res.get((p, 1), 0) - a * m
             a *= n
             key = f, 1
         else:   # c / f, or c / f^2 on the chain of a double pole
             res = groups.setdefault(denom, {})
-            key = f, len(factors)
+            key = f, 1 if p is None else 2
         res[key] = res.get(key, 0) + a
     common = lcm(*groups)
     residues = {}

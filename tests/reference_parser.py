@@ -30,13 +30,20 @@ def parse_poly(text: str) -> dict:
         except ValueError:      # past Python's digit limit, or a digit int() refuses
             raise ParseError(f"cannot read the {j - start}-digit integer", start) from None
 
+    def skip_star(j):
+        # a '*' must be followed by a factor of its term
+        k = skip_ws(j + 1)
+        if k == n or text[k] in "+-":
+            raise ParseError("unexpected character '*'", j)
+        return k
+
     i = skip_ws(i)
     if i == n:
         raise ParseError("empty input", 0)
     while i < n:
         # a sign is optional, and found before every term but the first:
         # each term must end at '+', '-' or the end of the input
-        sign = 1
+        sign, start = 1, i
         if text[i] in "+-":
             sign = -1 if text[i] == "-" else 1
             i = skip_ws(i + 1)
@@ -56,7 +63,7 @@ def parse_poly(text: str) -> dict:
             has_content = True
             i = skip_ws(i)
             if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
+                i = skip_star(i)
         ex = ey = 0
         if i < n and text[i] == "x":
             i = skip_ws(i + 1)
@@ -67,7 +74,7 @@ def parse_poly(text: str) -> dict:
             has_content = True
             i = skip_ws(i)
             if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
+                i = skip_star(i)
         if i < n and text[i] == "y":
             i = skip_ws(i + 1)
             ey = 1
@@ -79,7 +86,7 @@ def parse_poly(text: str) -> dict:
         if not has_content:
             if i < n:
                 raise ParseError(f"unexpected character {text[i]!r}", i)
-            raise ParseError("expected a term", i - 1)
+            raise ParseError("expected a term", start)
         if i < n and text[i] not in "+-":
             raise ParseError(f"unexpected character {text[i]!r}", i)
         key = (ex, ey)

@@ -250,6 +250,14 @@ def test_poly_command_parse_error(capsys):
     assert main(["poly", "x^2 + ("]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("expr, index", [("x*", 1), ("2* + x", 1), ("y^2 - 3x *", 9)],
+                         ids=["after-x", "before-a-sign", "after-a-coefficient-and-x"])
+def test_poly_command_refuses_a_star_that_joins_nothing(capsys, expr, index):
+    assert main(["poly", expr]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: unexpected character '*' at index {index}\n"
+
+
 @pytest.mark.parametrize("expr, message", [
     ("x^%s + y^2" % ("1" * 5000), "cannot read the 5000-digit integer"),
     # a digit, but not a decimal one: no exponent stands where one should

@@ -67,6 +67,11 @@ def test_parse_implicit_products():
 @pytest.mark.parametrize("text, message", [
     ("", "empty input at index 0"),
     ("x +", "expected a term at index 2"),
+    ("x + ", "expected a term at index 2"),
+    ("x +\n\n", "expected a term at index 2"),
+    ("x*", "unexpected character '*' at index 1"),
+    ("2* + x", "unexpected character '*' at index 1"),
+    ("x * \t- y", "unexpected character '*' at index 2"),
     ("x ++ y", "unexpected character '+' at index 3"),
     ("x^ + y", "expected digits at index 3"),
     ("1/ x", "expected digits at index 3"),
@@ -74,7 +79,8 @@ def test_parse_implicit_products():
     ("x^2 + z", "unexpected character 'z' at index 6"),
     ("2 3x", "unexpected character '3' at index 2"),
     ("x^" + "9" * 5000, "cannot read the 5000-digit integer at index 2"),
-], ids=["empty", "sign-at-the-end", "two-signs", "no-exponent", "no-denominator",
+], ids=["empty", "sign-at-the-end", "sign-then-a-space", "sign-then-newlines",
+        "star-at-the-end", "star-before-a-sign", "star-then-space-before-a-sign", "two-signs", "no-exponent", "no-denominator",
         "zero-denominator", "letter-outside-the-grammar", "space-in-an-integer",
         "past-the-digit-limit"])
 def test_parse_error_positions(text, message):

@@ -88,6 +88,41 @@ def test_rf_sum_takes_stratum_terms_only():
             rf_sum([(1, den)])
 
 
+# Terms rf_sum refuses, each with its message and the valid terms that
+# split its factors, the (0, 0) factor aside: a factor's split is kept for
+# the rest of the call, so each bad term is also summed after its factors
+# were split once, and after other factors were.
+BAD_TERMS = {
+    "zero-factor": ((1, [(3, 2), (0, 0)]), "(0, 0) is not a linear factor",
+                    [(1, [(3, 2)])]),
+    "zero-factor-first": ((1, [(0, 0), (3, 2)]), "(0, 0) is not a linear factor",
+                          [(1, [(3, 2)])]),
+    "scalars-only": ((1, [(0, 2), (0, -3)]), "a stratum term needs a factor with N != 0",
+                     [(1, [(0, 2), (1, 1)]), (2, [(1, 1), (0, -3)])]),
+    "one-scalar": ((2, [(0, 4)]), "a stratum term needs a factor with N != 0",
+                   [(1, [(0, 4), (2, 1)])]),
+    "empty": ((1, []), "a stratum term needs a factor with N != 0", []),
+    "three-factors": ((1, [(1, 1), (2, 1), (3, 1)]), "a stratum term has one or two factors",
+                      [(1, [(1, 1), (2, 1)]), (Fraction(1, 2), [(3, 1)])]),
+}
+OTHER_TERMS = [(1, [(5, 3), (2, 2)]), (-1, [(5, 3)])]
+POSITIONS = {
+    "first": lambda bad, own: [bad, *own, *OTHER_TERMS],
+    "after-its-factors": lambda bad, own: [*own, bad, *OTHER_TERMS],
+    "after-other-factors": lambda bad, own: [*OTHER_TERMS, bad, *own],
+    "last": lambda bad, own: [*OTHER_TERMS, *own, *own, bad],
+}
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize("name", BAD_TERMS)
+def test_rf_sum_messages_do_not_depend_on_earlier_terms(name, position):
+    bad, message, own = BAD_TERMS[name]
+    with pytest.raises(ValueError) as err:
+        rf_sum(POSITIONS[position](bad, own))
+    assert str(err.value) == message
+
+
 def test_pole_order_is_the_highest_surviving_power():
     # the double poles at -1 of the first two terms cancel, and the split
     # of the third leaves -1 a simple pole; -1/2 keeps the double pole of
