@@ -9,16 +9,21 @@ neighbours, frames included, spans a cone of determinant one (the cone is
 then generated by a lattice basis, so the corresponding toric chart is
 smooth).
 
-The minimal regular subdivision through given rays is their Stern-Brocot
-closure: the rays with all their ancestors (Oda, *Convex Bodies and
-Algebraic Geometry* (1988) 1.6).  A ray ``w = (a, b)`` off the frames has
-the parents ``l < w < r``, ``l + r = w``, ``det(l, w) = det(w, r) = 1``:
-``l.b`` is the inverse of ``-a`` mod ``b``, ``r.a`` that of ``-b`` mod ``a``.
-The closure is regular, each ray splitting the cone of its parents into two
-cones of determinant one; it is minimal, since in a regular subdivision the
-ray of greatest ``a + b`` is the sum of its neighbours, its parents.
-``minimal_regular_refinement`` fills the cones; ``admissible_subdivision``,
-``insert_rays`` and the refined graphs of ``resolution.build_graph`` use it.
+The minimal regular subdivision of a cone ``u < v`` of determinant ``d`` is
+its Hirzebruch-Jung chain ``u = W_0 < W_1 < ... < W_r < W_(r+1) = v`` (Oda,
+*Convex Bodies and Algebraic Geometry* (1988) 1.6): ``W_1`` is the vector
+with ``det(u, W_1) = 1`` and ``0 <= det(W_1, v) < d``, and ``W_(i+1) =
+c_i W_i - W_(i-1)``, where ``x_i = det(W_i, v)`` falls as ``x_(i+1) = c_i x_i
+- x_(i-1)`` with ``c_i = ceil(x_(i-1) / x_i)``, until it reaches 0 at ``v``.
+Neighbours have determinant one, and the chain is the set of lattice points
+on the compact boundary of the convex hull of the cone's nonzero lattice
+points, which every regular subdivision of the cone contains.  Through
+given rays the chains make their Stern-Brocot closure, the rays with all
+their ancestors, where a ray ``w`` off the frames has the parents
+``l < w < r``, ``l + r = w``, ``det(l, w) = det(w, r) = 1``; ``insert_rays``
+relies on it.  ``minimal_regular_refinement`` fills the cones;
+``admissible_subdivision``, ``insert_rays`` and the refined graphs of
+``resolution.build_graph`` use it.
 """
 
 from __future__ import annotations
@@ -63,10 +68,11 @@ X_FRAME = PrimitiveVector(1, 0)
 Y_FRAME = PrimitiveVector(0, 1)
 
 
-def _parent(a: int, b: int) -> PrimitiveVector:
-    """The Stern-Brocot parent ``(a, b)`` of a ray, made without the checks
-    of ``PrimitiveVector``: it has determinant one with the ray, so it is
-    primitive, and both of its coordinates are nonnegative."""
+def _ray(a: int, b: int) -> PrimitiveVector:
+    """The ray ``(a, b)`` of a Hirzebruch-Jung chain, made without the
+    checks of ``PrimitiveVector``: it has determinant one with its
+    neighbour, so it is primitive, and it lies in the cone being filled,
+    so both of its coordinates are nonnegative."""
     w = object.__new__(PrimitiveVector)
     object.__setattr__(w, "a", a)
     object.__setattr__(w, "b", b)
@@ -107,16 +113,11 @@ def admissible_subdivision(principal) -> Subdivision:
     """Minimal regular subdivision containing every given ray.
 
     The rays must be strictly slope-increasing with both coordinates
-    positive.  Neighbouring gaps, frame gaps included, are filled with
-    minimal_regular_refinement.
+    positive; minimal_regular_refinement fills the gaps between
+    neighbours, frame gaps included, and its ``det <= 0`` check refuses
+    any other list: a ray on the boundary is a frame, of determinant zero
+    with its frame neighbour.
     """
-    principal = list(principal)
-    for p in principal:
-        if p.a < 1 or p.b < 1:
-            raise ValueError(f"ray {p} lies on the boundary of the quadrant")
-    for p, q in zip(principal, principal[1:]):
-        if not p < q:
-            raise ValueError(f"rays out of slope order: {p} before {q}")
     return Subdivision(minimal_regular_refinement(X_FRAME, *principal, Y_FRAME))
 
 
@@ -148,37 +149,26 @@ def minimal_regular_refinement(*rays) -> list:
     none exactly when det(u, v) = 1.  Raises TooManyRays(v) past
     MAX_DIVISORS rays, v the end of the cone being filled.
 
-    A cone u < v gets u's right parents while they are below v, which ends
-    at the common ancestor, then v's left parents, reversed, down to a
-    neighbour of the last ray taken.  Every closure ray between those two
-    is an ancestor of v, so no left parent needs a test against u.  Each
-    walk stops once d, the determinant of the pair it is at, is one.
+    Each cone u < v of determinant d is one Hirzebruch-Jung walk (see
+    the module docstring) from W_1 = r - q u, where det(u, r) = 1 and q
+    is the quotient of det(r, v) by d.
     """
     out = []
     for u, v in zip(rays, rays[1:]):
         d = u.a * v.b - u.b * v.a
         if d <= 0:
             raise ValueError(f"rays {u}, {v} do not span a cone: det = {d}")
-        while d > 1:
-            a = pow(-u.b, -1, u.a)          # u's right parent (a, b)
-            b = (1 + u.b * a) // u.a
-            e = a * v.b - b * v.a
-            if e <= 0:                      # not below v
-                break
-            u, d = _parent(a, b), e
-            out.append(u)
+        a = pow(-u.b, -1, u.a)
+        b = (1 + u.b * a) // u.a
+        q, x = divmod(a * v.b - b * v.a, d)
+        pa, pb, a, b, y = u.a, u.b, a - q * u.a, b - q * u.b, d     # W_0, W_1, x_0
+        while x:
+            out.append(_ray(a, b))
             if len(out) > MAX_DIVISORS:
                 raise TooManyRays(v)
-        if d > 1:
-            top, hi = len(out), v
-            while d > 1:
-                b = pow(-hi.a, -1, hi.b)        # hi's left parent
-                hi = _parent((1 + hi.a * b) // hi.b, b)
-                out.append(hi)
-                if len(out) > MAX_DIVISORS:
-                    raise TooManyRays(v)
-                d = u.a * b - u.b * hi.a
-            out[top:] = reversed(out[top:])
+            c = -(-y // x)
+            pa, pb, a, b = a, b, c * a - pa, c * b - pb
+            x, y = c * x - y, x
         if v is not rays[-1]:
             out.append(v)
         if len(out) > MAX_DIVISORS:

@@ -136,11 +136,13 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
     cyclo = z * CycloProduct(((1, 1),))
     mu = sum(n * e for n, e in cyclo.factors)
     # The multiplicity at d depends only on which exponents d divides, and
-    # the gcd of those exponents divides exactly the same ones: checking the
-    # gcds of all nonempty sets of exponents covers every root order.
-    orders = set()
+    # the gcd of those exponents divides exactly the same ones; it is
+    # negative only if d divides an exponent of a negative power.  So the
+    # gcds of the sets of exponents that hold such an exponent cover every
+    # root order that can fail, the smallest one included.
+    orders = {n for n, e in cyclo.factors if e < 0}
     for n, _ in cyclo.factors:
-        orders |= {gcd(n, d) for d in orders} | {n}
+        orders |= {gcd(n, d) for d in orders}
     for d in sorted(orders):
         m = root_multiplicity(cyclo, d)
         if m < 0:

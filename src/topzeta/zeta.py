@@ -120,7 +120,7 @@ class RationalFunction:
             return head
         facs = []
         for (n, v), e in self.den:
-            base = f"({_linear_str(n, v)})"
+            base = f"({poly_str((v, n), 's')})"
             facs.append(base + (f"^{e}" if e > 1 else ""))
         return f"{head} / ({' * '.join(facs)})" if len(facs) > 1 else f"{head} / {facs[0]}"
 
@@ -133,12 +133,6 @@ class RationalFunction:
 
 
 ZERO = RationalFunction(Fraction(0), (), ())
-
-
-def _linear_str(n, v):
-    """``poly_str((v, n), "s")`` of a factor ``n s + v`` with ``n >= 1``."""
-    head = "s" if n == 1 else f"{n}*s"
-    return head if not v else f"{head} + {v}" if v > 0 else f"{head} - {-v}"
 
 
 class _TermHeads(dict):

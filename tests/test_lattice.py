@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_lattice import minimal_regular_refinement as reference_refinement
 from topzeta.lattice import (MAX_DIVISORS, PrimitiveVector, Subdivision,
                              TooManyRays, X_FRAME, Y_FRAME,
                              admissible_subdivision, det, insert_rays,
@@ -358,3 +359,50 @@ def test_subdivisions_are_the_stern_brocot_closure():
                     stern_brocot_closure([*sub.vectors, w]), (principal, w)
                 inserted += 1
     assert inserted > 150
+
+
+# --- the Hirzebruch-Jung fill against the two-walk filler it replaced -------
+
+def same_fill(rays):
+    """The rays both fillers return, or the type, message and ray of the
+    ValueError both raise, asserted equal."""
+    def run(fill):
+        try:
+            return fill(*rays)
+        except ValueError as e:
+            return type(e), str(e), getattr(e, "ray", None)
+    got = run(minimal_regular_refinement)
+    assert got == run(reference_refinement), rays
+    return got
+
+
+def test_fill_matches_the_two_walk_reference():
+    # 1-6 rays in slope order, coordinates up to 10, 10^3, 10^6 or 10^12,
+    # half of the lists between the frames, each list also reversed; and
+    # two lists past MAX_DIVISORS, each with a cone u < u + n w,
+    # det(u, w) = 1, of n - 1 rays: alone, and between the frames
+    rng = random.Random(20)
+    filled = refused = too_many = 0
+    for cap, lists in ((10, 400), (10 ** 3, 400), (10 ** 6, 200), (10 ** 12, 100)):
+        for _ in range(lists):
+            rays = set()
+            while len(rays) < rng.randint(1, 6):
+                a, b = rng.randint(1, cap), rng.randint(1, cap)
+                if gcd(a, b) == 1:
+                    rays.add(pv(a, b))
+            rays = sorted(rays)
+            if rng.random() < 0.5:
+                rays = [X_FRAME, *rays, Y_FRAME]
+            filled += isinstance(same_fill(rays), list)
+            refused += isinstance(same_fill(rays[::-1]), tuple)
+    for n, framed in ((MAX_DIVISORS + 2, False), (MAX_DIVISORS, True)):
+        while True:
+            a, b = rng.randint(1, 1000), rng.randint(1, 1000)
+            if gcd(a, b) == 1:
+                break
+        w_a = pow(-b, -1, a)
+        w_b = (1 + b * w_a) // a                # det(u, w) = 1
+        u, v = pv(a, b), pv(a + n * w_a, b + n * w_b)
+        got = same_fill([X_FRAME, u, v, Y_FRAME] if framed else [u, v])
+        too_many += got == (TooManyRays, str(TooManyRays(v)), v)
+    assert filled > 1000 and refused > 900 and too_many == 2, (filled, refused, too_many)

@@ -7,6 +7,7 @@ import pytest
 
 from rational_euclid import divmod_frac
 from topzeta import poly
+from topzeta.cli import random_tree
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.monodromy import (CycloProduct, acampo_from_graph,
                                characteristic_poly, conjecture_report,
@@ -110,6 +111,46 @@ def test_characteristic_poly_verdict_matches_divisor_enumeration():
         else:
             assert polynomial, factors
     assert 0 < rejected < 400
+
+
+def full_closure_message(z):
+    """The message characteristic_poly raises for z, or None, from the gcds
+    of all nonempty sets of exponents of (1 - t) z, smallest first: its
+    check before the closure was seeded with negative powers only."""
+    factors = (z * cyclo({1: 1})).factors
+    orders = set()
+    for n, _ in factors:
+        orders |= {gcd(n, d) for d in orders} | {n}
+    for d in sorted(orders):
+        m = sum(e for n, e in factors if n % d == 0)
+        if m < 0:
+            return f"not a polynomial: multiplicity {m} at root order {d}"
+    return None
+
+
+def test_characteristic_poly_message_matches_the_full_closure():
+    # the zeta of a random tree, times 0-3 more factors (1 - t^n)^e with
+    # e = +-1 or +-2 and n an exponent of it, the gcd of two, or any
+    # number up to 200; refused products are checked by their message
+    rng = random.Random(29)
+    refused = accepted = at_gcd = 0
+    for _ in range(600):
+        z = monodromy_zeta(annotate(random_tree(rng)))
+        for _ in range(rng.choice((0, 1, 2, 3))):
+            n, m = rng.choice(z.factors)[0], rng.choice(z.factors)[0]
+            n = rng.choice((n, gcd(n, m), rng.randint(2, 200)))
+            z = z * cyclo({n: rng.choice((-2, -1, 1, 2))})
+        want = full_closure_message(z)
+        try:
+            characteristic_poly(z, max_degree=0)
+        except ArithmeticError as exc:
+            assert str(exc) == want, z
+            refused += 1
+            at_gcd += int(want.rsplit(" ", 1)[1]) not in dict(z.factors)
+        else:
+            assert want is None, z
+            accepted += 1
+    assert refused > 120 and accepted > 300 and at_gcd > 20, (refused, accepted, at_gcd)
 
 
 def test_characteristic_poly_fermat_800_in_time():

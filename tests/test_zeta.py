@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.zeta import (ZERO, Pole, RationalFunction, _linear_str, candidate_poles,
+from topzeta.zeta import (ZERO, Pole, RationalFunction, candidate_poles,
                           poles, poly_str, rf_sum, zeta_general, zeta_nondegenerate)
 
 
@@ -310,11 +310,8 @@ def test_poly_str_matches_the_per_term_printer():
 
 
 def test_denominator_factors_print_as_poly_str():
-    assert [_linear_str(n, v) for n, v in ((1, 1), (6, 5), (1, -2), (3, 0))] == [
+    assert [poly_str((v, n), "s") for n, v in ((1, 1), (6, 5), (1, -2), (3, 0))] == [
         "s + 1", "6*s + 5", "s - 2", "3*s"]
-    for n in range(1, 41):
-        for v in range(-40, 41):
-            assert _linear_str(n, v) == poly_str((v, n), "s"), (n, v)
 
 
 # --- closed forms ------------------------------------------------------------
