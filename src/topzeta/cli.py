@@ -89,12 +89,16 @@ def tree_hash(spec: Bamboo) -> str:
 # report assembly
 
 def _pole_entries(ps, candidates):
+    """Each pole with its sources: the candidates of its value, in
+    candidate order, grouped once by the value's numerator and
+    denominator."""
+    groups = {}
+    for c in candidates:
+        groups.setdefault((c.value.numerator, c.value.denominator), []).append(c)
     out = []
     for p in ps:
         sources = []
-        for c in candidates:
-            if c.value != p.value:
-                continue
+        for c in groups.get((p.value.numerator, p.value.denominator), ()):
             if c.path is None:
                 sources.append("universal")
             else:
@@ -239,8 +243,9 @@ def check_instance(spec: Bamboo, *, ray_seed: int = 0) -> dict:
     checks["delta_polynomial"] = delta is not None
     if delta is not None and delta.coeffs is not None:
         checks["delta_values"] = _delta_values_agree(delta)
-    cand_values = {c.value for c in candidate_poles(annotated)}
-    checks["pole_containment"] = all(Fraction(-nu, n) in cand_values for (n, nu), _ in z.den)
+    # the factors of z.den are primitive with N >= 1: -nu/N in lowest terms
+    cand_values = {(c.value.numerator, c.value.denominator) for c in candidate_poles(annotated)}
+    checks["pole_containment"] = all((-nu, n) in cand_values for (n, nu), _ in z.den)
     # without a polynomial there are no eigenvalues to check the poles against
     checks["conjecture"] = delta is not None and all(
         c.witness.ok for c in conjecture_report(z, delta.cyclo))

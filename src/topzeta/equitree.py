@@ -181,9 +181,25 @@ def annotate(tree: Bamboo) -> AnnotatedTree:
     if problems:
         raise InvalidTreeError(problems)
     bamboos = []
+    class_mults = {}    # id of a bamboo -> the class multiplicities of each face
+
+    def measure(bamboo):
+        """``class_multiplicity(bamboo)``, bottom-up: each sub-bamboo is
+        measured once, and the class multiplicities of its faces are kept
+        in ``class_mults``.  Plain loops keep one frame per level."""
+        total = 0
+        per_face = []
+        for f in bamboo.faces:
+            ms = []
+            for cls in f.classes:
+                ms.append(1 if isinstance(cls, Leaf) else measure(cls))
+            per_face.append(ms)
+            total += f.a * sum(ms)
+        class_mults[id(bamboo)] = per_face
+        return total
 
     def walk(bamboo, path, base_mult, base_nu):
-        per_class = [[class_multiplicity(c) for c in f.classes] for f in bamboo.faces]
+        per_class = class_mults[id(bamboo)]
         face_mults = [sum(ms) for ms in per_class]
         k = len(bamboo.faces)
         suffix = [0] * (k + 1)
@@ -216,6 +232,7 @@ def annotate(tree: Bamboo) -> AnnotatedTree:
                 if isinstance(cls, Bamboo):
                     walk(cls, path + ((i, l),), faces[i].mult, faces[i].nu)
 
+    measure(tree)
     walk(tree, (), 0, 1)
     return AnnotatedTree(tuple(bamboos))
 

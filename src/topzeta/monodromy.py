@@ -206,7 +206,7 @@ def eigenvalue_witness(delta_cyclo: CycloProduct, theta) -> EigenvalueWitness:
     cohomology; otherwise the primitive-root multiplicity in the H^1
     characteristic polynomial must be positive.
     """
-    d = Fraction(theta).denominator
+    d = (theta if isinstance(theta, Fraction) else Fraction(theta)).denominator
     if d == 1:
         return EigenvalueWitness(True, 1, None, ())
     contrib = tuple((n, e) for n, e in delta_cyclo.factors if n % d == 0)

@@ -38,8 +38,12 @@ where ``scale`` is a rational number, ``num`` is a primitive integer
 polynomial with positive leading coefficient, and the denominator lists
 those factors, sorted by ``(N, nu)``, with their pole orders, is derived
 on first read: ``den`` from the orders alone, ``scale`` and ``num`` by
-one canonicalization in integers.  Any common denominator gives that
-form, since ``num`` is primitive and ``scale`` reduced.  A function built
+one canonicalization in integers, which takes in one linear factor at a
+time, each power of it in one pass over the coefficient list.  Any
+common denominator gives that form, since ``num`` is primitive and
+``scale`` reduced.  ``poles`` sorts the factors of ``den`` by the integer
+``-nu (L / N)``, ``L`` the lcm of their N, which is the pole's value
+times ``L``: no two ``Fraction``s are compared.  A function built
 from the printed form, as a report's JSON is read back, has no parts; it
 compares by its printed form.
 
@@ -57,7 +61,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from . import poly
 from .equitree import AnnotatedTree, Leaf, annotate_faces
 
 
@@ -231,22 +234,27 @@ def rf_sum(terms) -> RationalFunction:
 
 def _canonical(parts, den):
     """``(scale, num)`` of ``parts`` with denominator ``den``.  ``num / D``
-    starts at ``0 / 1`` and takes in one factor ``f`` of pole order ``e``
-    at a time as ``(num f^e + D sum_k c_k f^(e - k)) / (D f^e)``; the
-    numerator is then cleared of its content."""
+    starts at ``0 / 1`` and takes in one factor ``f = N s + nu`` of pole
+    order ``e`` at a time as ``(num f^e + D sum_k c_k f^(e - k)) / (D f^e)``:
+    by Horner, ``num -> num f + c_k full`` for k = 1 .. e, ``full`` the
+    product of the factors taken in before, then ``full -> full f^e``.
+    Each step is one pass over the coefficient list, and ``num`` stays
+    shorter than ``full``; the numerator is then cleared of its content."""
     residues, denominator = parts
     if not residues:
         return Fraction(0), ()
     residues = dict(residues)
     num, full = [], [1]
-    for (n, v), e in den:
-        power, inner = [1], []
-        for k in range(1, e + 1):       # f^e, and Horner in f over c_1 .. c_e
-            power = poly.mul(power, [v, n])
-            c = residues.get(((n, v), k), 0)
-            inner = poly.add(poly.mul(inner, [v, n]), [c])
-        num = poly.add(poly.mul(num, power), poly.mul(inner, full))
-        full = poly.mul(full, power)
+    for f, e in den:
+        n, v = f
+        for k in range(e):      # full padded to the length of num f
+            c = residues.get((f, k + 1), 0)
+            num = [v * a + n * b + c * d
+                   for a, b, d in zip(num + [0], [0] + num, full + [0] * k)]
+        for _ in range(e):
+            full = [v * a + n * b for a, b in zip(full + [0], [0] + full)]
+    while not num[-1]:
+        num.pop()
     content = gcd(*num) if num[-1] > 0 else -gcd(*num)
     return Fraction(content, denominator), tuple(c // content for c in num)
 
@@ -267,10 +275,12 @@ def poles(z: RationalFunction) -> list[Pole]:
 
     The exponent of a factor in ``den`` is the highest power with a
     nonzero residue, so it is exactly the order of the pole at -nu/N.
+    The factors are sorted by the integer ``-nu (L / N)``, with ``L`` the
+    lcm of the N: the pole's value times ``L``.
     """
-    out = [Pole(Fraction(-v, n), e) for (n, v), e in z.den]
-    out.sort(key=lambda p: p.value)
-    return out
+    common = lcm(*(n for (n, _), _ in z.den))
+    den = sorted(z.den, key=lambda item: -item[0][1] * (common // item[0][0]))
+    return [Pole(Fraction(-v, n), e) for (n, v), e in den]
 
 
 def candidate_poles(tree: AnnotatedTree) -> list[Candidate]:

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from topzeta.cli import random_tree
 from topzeta.equitree import (Bamboo, Face, LEAF, TreeJSONError, annotate,
                               annotate_faces, class_multiplicity,
                               tree_from_json, tree_to_json, validate)
@@ -52,6 +54,36 @@ def test_class_multiplicity():
     assert class_multiplicity(Bamboo((Face(2, 7, (LEAF,)),))) == 2
     two_face = Bamboo((Face(2, 5, (LEAF,)), Face(3, 7, (LEAF,))))
     assert class_multiplicity(two_face) == 2 * 1 + 3 * 1
+
+
+def nested_chain(depth):
+    """A (2, 3) face nested ``depth`` deep, with a leaf beside every
+    sub-bamboo."""
+    node = LEAF
+    for _ in range(depth):
+        node = Bamboo((Face(2, 3, (LEAF, node) if node is not LEAF else (node,)),))
+    return node
+
+
+def count_bamboos(tree):
+    return 1 + sum(count_bamboos(c) for f in tree.faces for c in f.classes
+                   if isinstance(c, Bamboo))
+
+
+def test_annotate_measures_each_class_as_class_multiplicity():
+    # annotate measures every sub-bamboo once, bottom-up; each class and
+    # face multiplicity it records is the one class_multiplicity gives
+    rng = random.Random(7)
+    trees = [random_tree(rng) for _ in range(500)] + [nested_chain(200)]
+    for tree in trees:
+        annotated = annotate(tree)
+        assert len(annotated.bamboos) == count_bamboos(tree)
+        for bam in annotated.bamboos:
+            for face in bam.faces:
+                want = tuple(class_multiplicity(c) for c in face.classes)
+                assert face.class_mults == want
+                assert face.face_mult == sum(want)
+    assert annotate(nested_chain(200)).root.faces[0].face_mult == 2 ** 200 - 1
 
 
 def test_annotate_cusp():

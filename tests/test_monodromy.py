@@ -297,6 +297,19 @@ def test_eigenvalue_witness_contributions():
     assert w.contributions == ((6, 1),)
 
 
+@pytest.mark.parametrize("thetas, want", [
+    ((Fraction(-5, 6), "-5/6", " -10/12 ", "7/6"), (True, 6, 1, ((6, 1),))),
+    ((Fraction(-1, 2), "-1/2", 1.5), (False, 2, 0, ((2, -1), (6, 1)))),
+    ((Fraction(-1), -1, "-1", 2, -3.0), (True, 1, None, ())),
+])
+def test_eigenvalue_witness_takes_what_fraction_takes(thetas, want):
+    # theta may be anything Fraction() reads: a Fraction, an int, a str
+    # or a float; the witness depends on its value alone
+    for theta in thetas:
+        w = eigenvalue_witness(delta_cyclo(CUSP), theta)
+        assert (w.ok, w.root_order, w.multiplicity, w.contributions) == want, theta
+
+
 def test_verify_conjecture_cusp():
     checks = conjecture_report(zeta_general(CUSP), delta_cyclo(CUSP))
     assert all(c.witness.ok for c in checks)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_report
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.zeta import (ZERO, Pole, RationalFunction, candidate_poles,
+from topzeta.zeta import (ZERO, Pole, RationalFunction, _canonical, candidate_poles,
                           poles, poly_str, rf_sum, zeta_general, zeta_nondegenerate)
 
 
@@ -174,6 +175,20 @@ def test_rf_ring_laws(terms, rnd, cut):
 
 def negated(terms):
     return [(-coef, den) for coef, den in terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_terms(), max_size=6), st.integers(0, 6))
+def test_printed_form_and_poles_match_the_reference(terms, cut):
+    # the one-pass canonicalization and the integer sort key give what
+    # the generic polynomial products and the Fraction sort gave: on sums
+    # with their terms' factors squared, so with double poles, and on
+    # sums with some terms cancelled, all of them (zero) when cut >= len
+    sums = (rf_sum(terms), rf_sum(terms + negated(terms[:cut])),
+            rf_sum(terms + [(c, (f, f)) for c, den in terms for f in den if f[0]]))
+    for z in sums:
+        assert _canonical(z.parts, z.den) == reference_report.canonical(z.parts, z.den)
+        assert poles(z) == reference_report.poles(z)
 
 
 @settings(max_examples=150, deadline=None)
