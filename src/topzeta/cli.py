@@ -36,7 +36,7 @@ from .monodromy import (CycloProduct, acampo_from_graph, characteristic_poly,
 from .newton import (DegenerateCurveError, newton_faces, parse_poly,
                      poly_to_str, to_face_specs)
 from .resolution import build_graph, chain_determinant_check, definitional_zeta
-from .zeta import RationalFunction, candidate_poles, poly_str, zeta_general
+from .zeta import candidate_poles, poly_str, rational_str, zeta_general
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -184,10 +184,8 @@ def render_report(report: dict) -> str:
         lines.append(f"input: poly {inp['canonical']}")
         lines.append(f"faces (a, b, r): {inp['faces']}")
     zj = report["zeta"]
-    z = RationalFunction(
-        Fraction(zj["scale"]), tuple(zj["numerator"]),
-        tuple(((f["N"], f["nu"]), f["exp"]) for f in zj["denominator"]))
-    lines.append(f"zeta: {z}")
+    den = [((f["N"], f["nu"]), f["exp"]) for f in zj["denominator"]]
+    lines.append(f"zeta: {rational_str(zj['scale'], zj['numerator'], den)}")
     lines.append("poles:")
     for entry in report["poles"]:
         srcs = []

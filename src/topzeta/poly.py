@@ -1,9 +1,9 @@
 """Dense univariate polynomial helpers on plain coefficient lists.
 
 Coefficients are listed from the constant term upward; the empty list is
-the zero polynomial.  ``add``, ``mul`` and ``derivative`` take ``int`` or
-``fractions.Fraction`` entries, mixed freely; the gcd works on ``int``
-lists alone, by pseudo-remainders that never leave Z.  Everything is exact.
+the zero polynomial.  ``trim`` and ``derivative`` take any exact
+numbers; the gcd works on ``int`` lists alone, by pseudo-remainders that
+never leave Z.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -17,27 +17,6 @@ def trim(coeffs):
     while n and coeffs[n - 1] == 0:
         n -= 1
     return list(coeffs[:n])
-
-
-def add(f, g):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] += c
-    return trim(out)
-
-
-def mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return trim(out)
 
 
 def derivative(f):

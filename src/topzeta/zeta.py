@@ -43,9 +43,13 @@ time, each power of it in one pass over the coefficient list.  Any
 common denominator gives that form, since ``num`` is primitive and
 ``scale`` reduced.  ``poles`` sorts the factors of ``den`` by the integer
 ``-nu (L / N)``, ``L`` the lcm of their N, which is the pole's value
-times ``L``: no two ``Fraction``s are compared.  A function built
-from the printed form, as a report's JSON is read back, has no parts; it
-compares by its printed form.
+times ``L``: no two ``Fraction``s are compared.  ``rational_str``
+prints the form from ``scale`` as text, ``str(Fraction)``, which is how
+a report's JSON holds it, so the text report prints from the JSON and
+rebuilds no function.  The constructor ``RationalFunction(scale, num,
+den)`` stays for ``dataclasses.replace``, with which the benchmark's
+self-test makes a wrong function; one built that way has no parts, so it
+cannot be compared or hashed.
 
 The closed form ``zeta_general`` sums the per-bamboo contributions of an
 annotated tree, with one leaf term ``r / ((N s + nu)(s + 1))`` per face
@@ -71,10 +75,13 @@ class RationalFunction:
     ``rf_sum`` builds it from ``parts = (residues, D)``: one
     ``(((N, nu), k), c)`` per nonzero residue ``c / (N s + nu)^k`` in
     sorted order, and their denominator ``D``; the printed form is
-    derived from them when first read.  One built from ``(scale, num,
-    den)`` has the printed form only.  Two functions with parts compare
-    by them, any other pair by the printed form; both ways, equal
-    functions have equal ``den``, which is what ``hash`` reads.
+    derived from them when first read, and ``str`` prints it with
+    ``rational_str``.  Equality and ``hash`` read ``parts`` alone.  The
+    constructor ``RationalFunction(scale, num, den)`` stays so that the
+    benchmark's self-test can make a wrong function with
+    ``dataclasses.replace``; a function built that way has no parts: it
+    prints, serializes and has poles, but comparing or hashing it raises
+    ``AttributeError``.
     """
 
     scale: Fraction
@@ -82,8 +89,9 @@ class RationalFunction:
     den: tuple[tuple[tuple[int, int], int], ...]   # ((N, nu), exponent)
 
     def __getattr__(self, name):
-        # reached only for a printed field of a function built from parts,
-        # stored through __dict__ because the instance is frozen
+        # reached for a printed field of a function built from parts,
+        # stored through __dict__ because the instance is frozen, and for
+        # the parts of one built from printed fields, which has none
         fields = self.__dict__
         if "parts" not in fields:
             raise AttributeError(name)
@@ -98,34 +106,13 @@ class RationalFunction:
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if "parts" in self.__dict__ and "parts" in other.__dict__:
-            return self.parts == other.parts
-        return (self.scale, self.num, self.den) == (other.scale, other.num, other.den)
+        return self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.den)
+        return hash(self.parts)
 
     def __str__(self):
-        if not self.num:
-            return "0"
-        parts = []
-        if self.scale == -1 and self.num != (1,):
-            parts.append("-")
-        elif self.scale != 1:
-            parts.append(f"{self.scale}")
-        if self.num != (1,) or not parts:
-            s = poly_str(self.num, "s")
-            parts.append(f"({s})" if len(self.num) > 1 else s)
-        head = " * ".join(p for p in parts if p != "-")
-        if parts and parts[0] == "-":
-            head = "-" + head
-        if not self.den:
-            return head
-        facs = []
-        for (n, v), e in self.den:
-            base = f"({poly_str((v, n), 's')})"
-            facs.append(base + (f"^{e}" if e > 1 else ""))
-        return f"{head} / ({' * '.join(facs)})" if len(facs) > 1 else f"{head} / {facs[0]}"
+        return rational_str(str(self.scale), self.num, self.den)
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,7 +122,27 @@ class RationalFunction:
         }
 
 
-ZERO = RationalFunction(Fraction(0), (), ())
+def rational_str(scale: str, num, den) -> str:
+    """The printed form ``scale * num(s) / prod (N*s + nu)^exp``, from
+    ``scale`` as text, ``str(Fraction)``, the numerator's coefficients
+    and ``den`` as ``((N, nu), exp)`` pairs; a factor 1 is not printed."""
+    if not num:
+        return "0"
+    body = poly_str(num, "s")
+    if len(num) > 1:
+        body = f"({body})"
+    if scale == "1":
+        head = body
+    elif body == "1":
+        head = scale
+    elif scale == "-1":
+        head = "-" + body
+    else:
+        head = f"{scale} * {body}"
+    facs = [f"({poly_str((v, n), 's')})" + (f"^{e}" if e > 1 else "") for (n, v), e in den]
+    if not facs:
+        return head
+    return f"{head} / {facs[0]}" if len(facs) == 1 else f"{head} / ({' * '.join(facs)})"
 
 
 class _TermHeads(dict):

@@ -1,10 +1,13 @@
 """The report assembly that ``topzeta`` used before it was made linear,
-kept as it was: the reference that the linear code is tested against.
+and its printer before it took ``scale`` as text, kept as they were: the
+reference that the code is tested against.
 
 - ``canonical`` is ``zeta._canonical`` as it multiplied polynomials by
   the generic ``poly.mul``, ``f^e`` and a Horner sum per factor;
 - ``poles`` is ``zeta.poles`` as it sorted the poles by their
   ``Fraction`` values;
+- ``rational_str`` is ``RationalFunction.__str__`` as it read the
+  ``Fraction`` scale of a function;
 - ``pole_entries`` is ``cli._pole_entries`` as it compared every pole
   with every candidate as ``Fraction``s.
 """
@@ -12,8 +15,8 @@ kept as it was: the reference that the linear code is tested against.
 from fractions import Fraction
 from math import gcd
 
-from topzeta import poly
-from topzeta.zeta import Pole
+import poly_arith as poly
+from topzeta.zeta import Pole, poly_str
 
 
 def canonical(parts, den):
@@ -60,3 +63,27 @@ def pole_entries(ps, candidates):
                 sources.append({"bamboo": [list(step) for step in c.path], "face": c.face})
         out.append({"value": str(p.value), "order": p.order, "sources": sources})
     return out
+
+
+def rational_str(z):
+    """The printed form of ``z``, from its ``scale``, ``num`` and ``den``."""
+    if not z.num:
+        return "0"
+    parts = []
+    if z.scale == -1 and z.num != (1,):
+        parts.append("-")
+    elif z.scale != 1:
+        parts.append(f"{z.scale}")
+    if z.num != (1,) or not parts:
+        s = poly_str(z.num, "s")
+        parts.append(f"({s})" if len(z.num) > 1 else s)
+    head = " * ".join(p for p in parts if p != "-")
+    if parts and parts[0] == "-":
+        head = "-" + head
+    if not z.den:
+        return head
+    facs = []
+    for (n, v), e in z.den:
+        base = f"({poly_str((v, n), 's')})"
+        facs.append(base + (f"^{e}" if e > 1 else ""))
+    return f"{head} / ({' * '.join(facs)})" if len(facs) > 1 else f"{head} / {facs[0]}"

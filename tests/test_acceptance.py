@@ -35,8 +35,7 @@ from topzeta.monodromy import (acampo_from_graph, characteristic_poly,
                                root_multiplicity)
 from topzeta.resolution import (build_graph, build_graph_nondegenerate,
                                 chain_determinant_check, definitional_zeta)
-from topzeta.zeta import (RationalFunction, candidate_poles, poles, zeta_general,
-                          zeta_nondegenerate)
+from topzeta.zeta import candidate_poles, poles, zeta_general, zeta_nondegenerate
 
 TREE_SEED = 7
 TREE_COUNT = 500
@@ -294,7 +293,7 @@ def leaf_rewrites(tree, new):
 def test_criterion_01_cusp_golden():
     annotated = annotate(CUSP)
     z = zeta_general(annotated)
-    assert z == RationalFunction(Fraction(1), (5, 4), (((1, 1), 1), ((6, 5), 1)))
+    assert (z.scale, z.num, z.den) == (Fraction(1), (5, 4), (((1, 1), 1), ((6, 5), 1)))
     assert poles(z) == [(Fraction(-1), 1), (Fraction(-5, 6), 1)]
     zm = monodromy_zeta(annotated)
     assert zm.exponents() == {6: 1, 2: -1, 3: -1}

@@ -24,6 +24,8 @@ clear to ``(2, -3)`` and ``(-9, 0, 20)`` before the squarefree check.
 between tokens and at both ends, an implicit product, an ``a/b``
 coefficient, and the ``expr`` echoed as it was typed.
 A change that means to keep the output must leave them as they are.
+Every text report is also ``render_report`` of its JSON report, the
+``fuzz`` case aside, which prints no report.
 
 ``python tests/test_golden.py``, run with ``src`` on ``PYTHONPATH``,
 compares every case with its file without pytest: it prints a unified
@@ -36,10 +38,11 @@ import argparse
 import contextlib
 import difflib
 import io
+import json
 import sys
 from pathlib import Path
 
-from topzeta.cli import EXIT_OK, main
+from topzeta.cli import EXIT_OK, main, render_report
 
 GOLDEN = Path(__file__).parent / "golden"
 TREES = GOLDEN / "trees"
@@ -62,6 +65,7 @@ CASES = {
     "rational-faces": ["poly", "1/2*y^4 - 3/4*x^3*y^2 + 5/3*x^7"],
     "spaced-poly": ["poly", " 1/3 y ^ 3 + 2 x^4y - x ^ 7 "],
 }
+REPORTS = [name for name, argv in CASES.items() if argv[0] != "fuzz"]
 
 
 def run_cli(argv):
@@ -75,11 +79,19 @@ def golden_path(name, as_json):
     return GOLDEN / (f"{name}.json.out" if as_json else f"{name}.out")
 
 
+def rendered_from_json(name):
+    """The text report of ``name`` rendered from its golden JSON report."""
+    return render_report(json.loads(golden_path(name, True).read_text(encoding="utf-8")))
+
+
 def pytest_generate_tests(metafunc):
     # parametrized here rather than by decorator, so that the check mode
     # below runs without pytest
-    metafunc.parametrize("name", sorted(CASES))
-    metafunc.parametrize("as_json", [False, True], ids=["text", "json"])
+    if "as_json" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(CASES))
+        metafunc.parametrize("as_json", [False, True], ids=["text", "json"])
+    else:
+        metafunc.parametrize("name", sorted(REPORTS))
 
 
 def test_report_matches_golden(name, as_json):
@@ -89,8 +101,13 @@ def test_report_matches_golden(name, as_json):
     assert out == golden_path(name, as_json).read_text(encoding="utf-8")
 
 
+def test_text_report_renders_from_the_json_report(name):
+    assert rendered_from_json(name) == golden_path(name, False).read_text(encoding="utf-8")
+
+
 def check(write=False) -> int:
-    """Compare every case with its file, or write the files; 1 if a case
+    """Compare every case with its file, or write the files, then every
+    text report with the rendering of its JSON report; 1 if a case
     differs or exits with an error, else 0."""
     status = 0
     for name, argv in CASES.items():
@@ -109,6 +126,14 @@ def check(write=False) -> int:
                         old.splitlines(keepends=True), out.splitlines(keepends=True),
                         str(path), f"{path} (now)"))
                     status = 1
+    for name in REPORTS:
+        path = golden_path(name, False)
+        text, rendered = path.read_text(encoding="utf-8"), rendered_from_json(name)
+        if rendered != text:
+            sys.stdout.writelines(difflib.unified_diff(
+                text.splitlines(keepends=True), rendered.splitlines(keepends=True),
+                str(path), f"{path} (rendered from JSON)"))
+            status = 1
     return status
 
 

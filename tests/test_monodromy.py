@@ -5,8 +5,8 @@ from math import comb, gcd, lcm
 
 import pytest
 
+import poly_arith
 from rational_euclid import divmod_frac
-from topzeta import poly
 from topzeta.cli import random_tree
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.monodromy import (CycloProduct, acampo_from_graph,
@@ -196,7 +196,7 @@ def divided_expansion(factors):
     ref = [1]
     for n, e in factors:
         for _ in range(e):
-            ref = poly.mul(ref, [1] + [0] * (n - 1) + [-1])
+            ref = poly_arith.mul(ref, [1] + [0] * (n - 1) + [-1])
     for n, e in factors:
         for _ in range(-e):
             ref, rem = divmod_frac(ref, [1] + [0] * (n - 1) + [-1])

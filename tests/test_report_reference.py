@@ -1,9 +1,10 @@
-"""The linear report assembly against the code it replaced, kept in
-``reference_report.py``: ``zeta._canonical``, ``zeta.poles`` and
-``cli._pole_entries`` give what the reference gives, on the acceptance
-corpora and on the inputs where they could part: coinciding candidates,
-the universal -1 meeting a face candidate, double poles, zero, and
-printed forms with non-primitive or tied factors."""
+"""The linear report assembly and the printer against the code they
+replaced, kept in ``reference_report.py``: ``zeta._canonical``,
+``zeta.poles``, ``zeta.rational_str`` and ``cli._pole_entries`` give what
+the reference gives, on the acceptance corpora and on the inputs where
+they could part: coinciding candidates, the universal -1 meeting a face
+candidate, double poles, zero, and printed forms with non-primitive,
+tied or negative factors, every kind of scale and a numerator 1."""
 
 import random
 from fractions import Fraction
@@ -15,8 +16,8 @@ from face_specs import random_unit_tree
 from topzeta.cli import _pole_entries, random_tree
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.monodromy import characteristic_poly, conjecture_report, monodromy_zeta
-from topzeta.zeta import (RationalFunction, _canonical, candidate_poles, poles, rf_sum,
-                          zeta_general)
+from topzeta.zeta import (RationalFunction, _canonical, candidate_poles, poles,
+                          rational_str, rf_sum, zeta_general)
 
 
 def assert_report_parts_match(tree):
@@ -25,6 +26,7 @@ def assert_report_parts_match(tree):
     z = zeta_general(tree)
     assert _canonical(z.parts, z.den) == reference_report.canonical(z.parts, z.den)
     assert poles(z) == reference_report.poles(z)
+    assert rational_str(str(z.scale), z.num, z.den) == reference_report.rational_str(z)
     checks = conjecture_report(z, characteristic_poly(monodromy_zeta(tree), max_degree=0).cyclo)
     cands = candidate_poles(tree)
     assert _pole_entries(checks, cands) == reference_report.pole_entries(checks, cands)
@@ -67,6 +69,7 @@ def test_a_double_pole_and_zero_match_the_reference():
     for z in (double, zero, rf_sum([])):
         assert _canonical(z.parts, z.den) == reference_report.canonical(z.parts, z.den)
         assert poles(z) == reference_report.poles(z)
+        assert rational_str(str(z.scale), z.num, z.den) == reference_report.rational_str(z)
     assert _canonical(zero.parts, zero.den) == (Fraction(0), ())
 
 
@@ -78,6 +81,8 @@ def test_a_double_pole_and_zero_match_the_reference():
     # negative N, and a value past every other one
     (((-3, 1), 1), ((5, 7), 1), ((-4, -2), 1), ((1, 0), 2)),
     (),
+    # one factor, printed without parentheses around the product
+    (((-2, 4), 2),),
 ])
 def test_printed_forms_with_non_primitive_or_tied_factors(den):
     z = RationalFunction(Fraction(3, 2), (1, 2), den)
@@ -85,6 +90,12 @@ def test_printed_forms_with_non_primitive_or_tied_factors(den):
     assert ps == reference_report.poles(z)
     cands = candidate_poles(annotate_faces([(3, 2, 1), (2, 3, 1)]))
     assert _pole_entries(ps, cands) == reference_report.pole_entries(ps, cands)
+    for scale in (Fraction(1), Fraction(-1), Fraction(1, 5), Fraction(-3, 2), Fraction(7)):
+        for num in ((), (1,), (2,), (1, 2), (0, -1, 3)):
+            want = reference_report.rational_str(RationalFunction(scale, num, den))
+            # and with lists, as a report's JSON holds the numerator
+            assert rational_str(str(scale), num, den) == want
+            assert rational_str(str(scale), list(num), list(den)) == want
 
 
 def test_the_printed_numerator_of_a_deep_chain_matches_the_reference():
