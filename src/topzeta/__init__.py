@@ -11,8 +11,8 @@ resolution-graph oracle; all arithmetic is exact.
 
 from .equitree import (AnnotatedBamboo, AnnotatedFace, AnnotatedTree, Bamboo,
                        Diagnostic, Face, InvalidTreeError, LEAF, Leaf,
-                       TreeJSONError, annotate, annotate_faces, class_multiplicity,
-                       tree_from_json, tree_to_json, validate)
+                       TreeJSONError, annotate, annotate_faces, tree_from_json,
+                       tree_to_json, validate)
 from .lattice import (PrimitiveVector, Subdivision, admissible_subdivision,
                       det, insert_rays, minimal_regular_refinement)
 from .monodromy import (CharPoly, CycloProduct, EigenvalueWitness, PoleCheck,

@@ -20,7 +20,6 @@ flags produce byte-identical output, and every number is exact.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
@@ -36,7 +35,7 @@ from .monodromy import (CycloProduct, acampo_from_graph, characteristic_poly,
 from .newton import (DegenerateCurveError, newton_faces, parse_poly,
                      poly_to_str, to_face_specs)
 from .resolution import build_graph, chain_determinant_check, definitional_zeta
-from .zeta import candidate_poles, poly_str, rational_str, zeta_general
+from .zeta import _unlimited_digits, candidate_poles, poly_str, rational_str, zeta_general
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -175,7 +174,9 @@ def _analyze(annotated, inp: dict, oracle: bool):
     return report, code
 
 
+@_unlimited_digits()
 def render_report(report: dict) -> str:
+    """The text report of a report dict, its exact numbers in full."""
     lines = []
     inp = report["input"]
     if inp["kind"] == "tree":
@@ -343,18 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = _build_parser()      # built once: parsing leaves it unchanged
-
-
-@contextlib.contextmanager
-def _unlimited_digits():
-    """Lift Python's int-to-str digit limit while a report's exact numbers
-    become text; the limit stays on while the input is parsed."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _read_int(literal: str) -> int:

@@ -8,12 +8,16 @@ either a :class:`Leaf` (a single smooth branch of the curve) or a whole
 sub-bamboo describing how that class of branches keeps splitting after
 the toric modification attached at this face.
 
-``annotate`` runs the multiplicity recursion: every face receives its
-class multiplicities, prefix and suffix weights, the multiplicity of the
-pullback of the curve along its divisor, the log-discrepancy style weight
-``nu``, and the constant chain determinant of the cone segment above it.
-Each sub-bamboo inherits the pair ``(mult, nu)`` of its attachment face
-as its base context; the root bamboo starts from ``(0, 1)``.
+``annotate`` walks the tree twice.  One bottom-up pass validates it and
+measures it: while it checks a bamboo it returns the bamboo's
+multiplicity, the sum of ``a_t * A_t`` over its faces, and records the
+class multiplicities ``A`` of each face.  One top-down pass then runs the
+multiplicity recursion: every face receives its class multiplicities,
+prefix and suffix weights, the multiplicity of the pullback of the curve
+along its divisor, the log-discrepancy style weight ``nu``, and the
+constant chain determinant of the cone segment above it.  Each
+sub-bamboo inherits the pair ``(mult, nu)`` of its attachment face as its
+base context; the root bamboo starts from ``(0, 1)``.
 
 A Newton-nondegenerate polynomial is the depth-one case: its face list
 ``(a, b, r)`` is the root bamboo with ``r`` leaves on each face, which
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,6 @@ class Bamboo:
 
     def __post_init__(self):
         object.__setattr__(self, "faces", tuple(self.faces))
-
-
-BranchClass = Union[Leaf, Bamboo]
 
 
 class Diagnostic(NamedTuple):
@@ -85,18 +86,24 @@ class InvalidTreeError(ValueError):
 def validate(tree: Bamboo) -> list[Diagnostic]:
     """Check all structural constraints; empty list means valid."""
     out = []
-    _validate_bamboo(tree, "", out)
+    _validate_bamboo(tree, "", out, {})
     return out
 
 
-def _validate_bamboo(bamboo, path, out):
-    """Append to ``out`` what is wrong with ``bamboo`` and its sub-bamboos."""
+def _validate_bamboo(bamboo, path, out, class_mults):
+    """Append to ``out`` what is wrong with ``bamboo`` and its sub-bamboos,
+    and return its multiplicity, the sum of ``a_t * A_t`` over its faces,
+    with the class multiplicities of each face kept in
+    ``class_mults[id(bamboo)]``.  Both mean nothing once ``out`` holds a
+    diagnostic.  Plain loops keep one frame per level."""
     if not isinstance(bamboo, Bamboo):
         out.append(Diagnostic(path or "/", "not a bamboo"))
-        return
+        return 0
     if not bamboo.faces:
         out.append(Diagnostic(f"{path}/faces", "bamboo has no faces"))
-        return
+        return 0
+    total = 0
+    per_face = []
     prev = None
     for i, face in enumerate(bamboo.faces):
         fpath = f"{path}/faces/{i}"
@@ -117,21 +124,15 @@ def _validate_bamboo(bamboo, path, out):
         prev = (face.a, face.b)
         if not face.classes:
             out.append(Diagnostic(f"{fpath}/classes", "face has no branch classes"))
+        ms = []
         for l, cls in enumerate(face.classes):
             if isinstance(cls, Leaf):
-                continue
-            _validate_bamboo(cls, f"{fpath}/classes/{l}", out)
-
-
-def class_multiplicity(cls: BranchClass) -> int:
-    """Multiplicity of a branch class: 1 for a leaf, sum of a_t * A_t over
-    the faces of a sub-bamboo otherwise."""
-    if isinstance(cls, Leaf):
-        return 1
-    total = 0
-    for face in cls.faces:
-        face_mult = sum(class_multiplicity(c) for c in face.classes)
-        total += face.a * face_mult
+                ms.append(1)
+            else:
+                ms.append(_validate_bamboo(cls, f"{fpath}/classes/{l}", out, class_mults))
+        per_face.append(ms)
+        total += face.a * sum(ms)
+    class_mults[id(bamboo)] = per_face
     return total
 
 
@@ -169,34 +170,23 @@ class AnnotatedTree:
 
 
 def annotate(tree: Bamboo) -> AnnotatedTree:
-    """Run the multiplicity recursion over the whole tree.
+    """Validate the tree and run the multiplicity recursion over it.
 
-    Raises InvalidTreeError when validation fails.  Within every bamboo the
-    suffix weight of the last face is zero, so its multiplicity is
-    divisible by its a; in the root bamboo the multiplicity of the first
-    face is divisible by its b.  Both facts are asserted here because the
-    monodromy computation divides by exactly these factors.
+    One bottom-up pass, ``_validate_bamboo``, checks every bamboo and
+    measures the class multiplicities of its faces; one top-down pass,
+    ``walk``, gives each face its annotation.  Raises InvalidTreeError
+    when validation fails.  Within every bamboo the suffix weight of the
+    last face is zero, so its multiplicity is divisible by its a; in the
+    root bamboo the multiplicity of the first face is divisible by its b.
+    Both facts are asserted here because the monodromy computation
+    divides by exactly these factors.
     """
-    problems = validate(tree)
+    problems = []
+    class_mults = {}    # id of a bamboo -> the class multiplicities of each face
+    _validate_bamboo(tree, "", problems, class_mults)
     if problems:
         raise InvalidTreeError(problems)
     bamboos = []
-    class_mults = {}    # id of a bamboo -> the class multiplicities of each face
-
-    def measure(bamboo):
-        """``class_multiplicity(bamboo)``, bottom-up: each sub-bamboo is
-        measured once, and the class multiplicities of its faces are kept
-        in ``class_mults``.  Plain loops keep one frame per level."""
-        total = 0
-        per_face = []
-        for f in bamboo.faces:
-            ms = []
-            for cls in f.classes:
-                ms.append(1 if isinstance(cls, Leaf) else measure(cls))
-            per_face.append(ms)
-            total += f.a * sum(ms)
-        class_mults[id(bamboo)] = per_face
-        return total
 
     def walk(bamboo, path, base_mult, base_nu):
         per_class = class_mults[id(bamboo)]
@@ -232,7 +222,6 @@ def annotate(tree: Bamboo) -> AnnotatedTree:
                 if isinstance(cls, Bamboo):
                     walk(cls, path + ((i, l),), faces[i].mult, faces[i].nu)
 
-    measure(tree)
     walk(tree, (), 0, 1)
     return AnnotatedTree(tuple(bamboos))
 

@@ -51,21 +51,36 @@ den)`` stays for ``dataclasses.replace``, with which the benchmark's
 self-test makes a wrong function; one built that way has no parts, so it
 cannot be compared or hashed.
 
-The closed form ``zeta_general`` sums the per-bamboo contributions of an
-annotated tree, with one leaf term ``r / ((N s + nu)(s + 1))`` per face
-carrying ``r`` smooth branches.  A Newton-nondegenerate face list is the
+The closed form ``zeta_general`` sums, over the bamboos of an annotated
+tree, one determinant term per cone of the bamboo's fan, one term per
+face, and one leaf term ``r / ((N s + nu)(s + 1))`` per face carrying
+``r`` smooth branches.  A Newton-nondegenerate face list is the
 one-bamboo tree of ``equitree.annotate_faces``; ``zeta_nondegenerate``
 only names that composition.
 """
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .equitree import AnnotatedTree, Leaf, annotate_faces
+
+
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's int-to-str digit limit while a report's exact numbers
+    become text; the limit stays on while the input is parsed."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +126,7 @@ class RationalFunction:
     def __hash__(self):
         return hash(self.parts)
 
+    @_unlimited_digits()
     def __str__(self):
         return rational_str(str(self.scale), self.num, self.den)
 
@@ -310,27 +326,25 @@ def zeta_nondegenerate(faces) -> RationalFunction:
 def zeta_general(tree: AnnotatedTree) -> RationalFunction:
     """Local topological zeta function of an annotated tree.
 
-    Per bamboo: the attachment term b_1 / ((base)(first face)), the chain
-    of determinant terms closed off against the frame (0, 1), and minus
-    r_i over each face; plus, per face with leaves, one term against
-    (s + 1) weighted by its leaf count.
+    Each bamboo is the fan ``(1, 0) < P_1 < ... < P_k < (0, 1)``, its
+    rays ``P_i = (a_i, b_i)`` its faces, each with the factor
+    ``(N, nu) = (mult, nu)``.  The first ray carries the bamboo's base
+    ``(base_mult, base_nu)`` and the last the factor ``(0, 1)``.  Each
+    cone ``u < v`` adds ``det(u, v)`` over the factors of u and v; each
+    face adds minus its number of branch classes over its own factor,
+    and its leaf count over its factor and ``(1, 1)``, the factor of
+    ``s + 1``.
     """
     terms = []
     for bam in tree.bamboos:
-        fs = bam.faces
-        k = len(fs)
-        terms.append((fs[0].b, [(bam.base_mult, bam.base_nu), (fs[0].mult, fs[0].nu)]))
-        for i in range(k):
-            if i + 1 < k:
-                d = fs[i].a * fs[i + 1].b - fs[i].b * fs[i + 1].a
-                nxt = (fs[i + 1].mult, fs[i + 1].nu)
-            else:
-                d = fs[i].a
-                nxt = (0, 1)
-            terms.append((d, [(fs[i].mult, fs[i].nu), nxt]))
-            terms.append((-len(fs[i].classes), [(fs[i].mult, fs[i].nu)]))
-        for f in fs:
+        a, b, fu = 1, 0, (bam.base_mult, bam.base_nu)
+        for f in bam.faces:
+            fv = (f.mult, f.nu)
+            terms.append((a * f.b - b * f.a, (fu, fv)))
+            terms.append((-len(f.classes), (fv,)))
             n_leaves = sum(isinstance(cls, Leaf) for cls in f.classes)
             if n_leaves:
-                terms.append((n_leaves, [(f.mult, f.nu), (1, 1)]))
+                terms.append((n_leaves, (fv, (1, 1))))
+            a, b, fu = f.a, f.b, fv
+        terms.append((a, (fu, (0, 1))))     # det(P_k, (0, 1)) = a_k
     return rf_sum(terms)

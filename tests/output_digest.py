@@ -13,7 +13,9 @@ default, and runs it in-process on:
 - ``topzeta poly --oracle`` on the ``poly-wide`` corpora, seeds 1 and 2;
 - the verdicts of ``check_instance`` on the ``fuzz-oracle`` corpora,
   seeds 1 and 2, as the benchmark prints them;
-- ``topzeta fuzz --count 200 --seed 7 --json``.
+- ``topzeta fuzz --count 200 --seed 7 --json``;
+- ``topzeta tree`` on the invalid trees of ``INVALID_TREES``, whose exit
+  code and diagnostics on stderr the digest holds.
 
 The inputs come from this checkout's ``tests/golden`` and ``perfbench``.
 It prints the digest and the number of outputs.  To hold a change to the
@@ -38,6 +40,20 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SEEDS = (1, 2)
 TREE_FLAGS = ([], ["--json"], ["--oracle"], ["--json", "--oracle"])
+SUB = {"faces": [{"a": 2, "b": 7, "classes": ["leaf"]}]}
+# trees that the JSON reader or the validator rejects; no diagnostic of
+# theirs names the file, so the digest does not depend on where it is
+INVALID_TREES = {
+    "string-a": {"faces": [{"a": "2", "b": 3, "classes": [SUB]}]},
+    "float-a": {"faces": [{"a": 2.0, "b": 3, "classes": ["leaf"]}]},
+    "null-class": {"faces": [{"a": 2, "b": 3, "classes": [None]}]},
+    "non-face-in-sub-bamboo": {"faces": [{"a": 2, "b": 3, "classes": [{"faces": ["face"]}]}]},
+    "empty-sub-bamboo": {"faces": [{"a": 2, "b": 3, "classes": [{"faces": []}]}]},
+    "four-diagnostics": {"faces": [
+        {"a": 0, "b": 3, "classes": ["leaf"]},
+        {"a": 2, "b": 4, "classes": [{"faces": [{"a": 1, "b": 2, "classes": []}]}]}]},
+    "bad-key": {"faces": [{"a": 2, "b": 3, "classes": ["leaf"], "c": 1}]},
+}
 
 
 def main(root: Path) -> None:
@@ -75,6 +91,10 @@ def main(root: Path) -> None:
                     path.write_text(json.dumps(tree), encoding="utf-8")
                     for flags in TREE_FLAGS:
                         run(f"{path.name} {flags}", ["tree", str(path), *flags])
+        for name, tree in INVALID_TREES.items():
+            path = Path(tmp, f"invalid-{name}.json")
+            path.write_text(json.dumps(tree), encoding="utf-8")
+            run(path.name, ["tree", str(path)])
     for seed in SEEDS:
         for i, (expr, _, _) in enumerate(CORPORA["poly-wide"](seed)):
             run(f"poly-wide-{seed}-{i}", ["poly", expr, "--oracle"])

@@ -99,10 +99,10 @@ def test_tree_command_validates_the_tree_once(monkeypatch, capsys):
     roots = []
     validate_bamboo = equitree._validate_bamboo
 
-    def counted(bamboo, path, out):
+    def counted(bamboo, path, *rest):
         if path == "":
             roots.append(bamboo)
-        validate_bamboo(bamboo, path, out)
+        return validate_bamboo(bamboo, path, *rest)
 
     monkeypatch.setattr(equitree, "_validate_bamboo", counted)
     assert main(["tree", str(THREE_LEVEL_PATH)]) == EXIT_OK
@@ -174,6 +174,23 @@ def test_tree_command_prints_numbers_past_the_digit_limit(tmp_path, capsys, dept
         assert max(len(str(c)) for c in report["zeta"]["numerator"]) > 4300
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_render_report_prints_numbers_past_the_digit_limit(tmp_path, capsys):
+    # the public printer and str() of the zeta function lift the limit
+    # themselves, not only main's output step, and put it back after
+    chain = nested_chain_json(150, 2, 3)
+    path = tmp_path / "chain150.json"
+    path.write_text(chain)
+    limit = sys.get_int_max_str_digits()
+    assert main(["tree", str(path)]) == EXIT_OK
+    text = render_report(analyze_tree(tree_from_json(json.loads(chain)))[0])
+    assert text == capsys.readouterr().out
+    spec = tree_from_json(json.loads(nested_chain_json(12, 2, 10 ** 400 + 1)))
+    report = analyze_tree(spec)[0]
+    assert max(abs(c) for c in report["zeta"]["numerator"]) > 10 ** 4300
+    assert f"zeta: {zeta_general(annotate(spec))}\n" in render_report(report)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_tree_command_rejects_integer_literals_past_the_digit_limit(tmp_path, capsys):

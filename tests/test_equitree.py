@@ -4,8 +4,8 @@ import random
 import pytest
 
 from topzeta.cli import random_tree
-from topzeta.equitree import (Bamboo, Face, LEAF, TreeJSONError, annotate,
-                              annotate_faces, class_multiplicity,
+from topzeta.equitree import (Bamboo, Face, InvalidTreeError, LEAF, Leaf,
+                              TreeJSONError, annotate, annotate_faces,
                               tree_from_json, tree_to_json, validate)
 from topzeta.monodromy import characteristic_poly, monodromy_zeta
 
@@ -49,6 +49,60 @@ def test_validate_empty_structures():
                for d in validate(Bamboo((Face(2, 3, ()),))))
 
 
+def class_multiplicity(cls) -> int:
+    """Multiplicity of a branch class: 1 for a leaf, sum of a_t * A_t over
+    the faces of a sub-bamboo otherwise.  The recursive definition, which
+    ``annotate`` measures in its validating pass, kept as the reference
+    for that pass."""
+    if isinstance(cls, Leaf):
+        return 1
+    total = 0
+    for face in cls.faces:
+        face_mult = sum(class_multiplicity(c) for c in face.classes)
+        total += face.a * face_mult
+    return total
+
+
+SUB = Bamboo((Face(2, 7, (LEAF,)),))
+HOSTILE_TREES = {
+    "non-integer-a": (Bamboo((Face("2", 3, (SUB,)),)),
+                      ["a and b must be integers at path /faces/0"]),
+    "none-class": (Bamboo((Face(2, 3, (None,)),)),
+                   ["not a bamboo at path /faces/0/classes/0"]),
+    "non-face-in-sub-bamboo": (Bamboo((Face(2, 3, (Bamboo(("face",)),)),)),
+                               ["not a face at path /faces/0/classes/0/faces/0"]),
+    "empty-sub-bamboo": (Bamboo((Face(2, 3, (Bamboo(()),)),)),
+                         ["bamboo has no faces at path /faces/0/classes/0/faces"]),
+    "four-in-parent-order": (
+        Bamboo((Face(0, 3, (LEAF,)), Face(2, 4, (Bamboo((Face(1, 2, ()),)),)))),
+        ["a < 1 at path /faces/0",
+         "gcd(a,b) != 1 at path /faces/1",
+         "slope order violated at path /faces/1",
+         "face has no branch classes at path /faces/1/classes/0/faces/0/classes"]),
+}
+
+
+@pytest.mark.parametrize("tree,diagnostics", HOSTILE_TREES.values(), ids=HOSTILE_TREES)
+def test_hostile_trees_are_diagnosed_not_measured(tree, diagnostics):
+    # validation measures the classes as it checks them: a bad face or
+    # class gives its diagnostic, never a TypeError from the measuring
+    assert [str(d) for d in validate(tree)] == diagnostics
+    with pytest.raises(InvalidTreeError) as exc:
+        annotate(tree)
+    assert [str(d) for d in exc.value.problems] == diagnostics
+
+
+def test_a_bamboo_used_twice_annotates_as_two_copies():
+    # class multiplicities are kept by the id of a bamboo; one object
+    # used twice is measured twice, to the same values
+    shared = Bamboo((Face(2, 3, (LEAF,)), Face(1, 2, (LEAF, LEAF))))
+    copy = Bamboo((Face(2, 3, (LEAF,)), Face(1, 2, (LEAF, LEAF))))
+    twice = annotate(Bamboo((Face(1, 1, (shared, shared)),)))
+    assert twice == annotate(Bamboo((Face(1, 1, (shared, copy)),)))
+    assert twice.root.faces[0].class_mults == (4, 4)
+    assert len(twice.bamboos) == 3
+
+
 def test_class_multiplicity():
     assert class_multiplicity(LEAF) == 1
     assert class_multiplicity(Bamboo((Face(2, 7, (LEAF,)),))) == 2
@@ -71,8 +125,9 @@ def count_bamboos(tree):
 
 
 def test_annotate_measures_each_class_as_class_multiplicity():
-    # annotate measures every sub-bamboo once, bottom-up; each class and
-    # face multiplicity it records is the one class_multiplicity gives
+    # annotate measures every sub-bamboo once, bottom-up, while it
+    # validates it; each class and face multiplicity it records is the
+    # one class_multiplicity gives
     rng = random.Random(7)
     trees = [random_tree(rng) for _ in range(500)] + [nested_chain(200)]
     for tree in trees:
