@@ -46,10 +46,16 @@ common denominator gives that form, since ``num`` is primitive and
 times ``L``: no two ``Fraction``s are compared.  ``rational_str``
 prints the form from ``scale`` as text, ``str(Fraction)``, which is how
 a report's JSON holds it, so the text report prints from the JSON and
-rebuilds no function.  The constructor ``RationalFunction(scale, num,
-den)`` stays for ``dataclasses.replace``, with which the benchmark's
-self-test makes a wrong function; one built that way has no parts, so it
-cannot be compared or hashed.
+rebuilds no function; it writes each denominator factor ``N*s + nu``
+itself.  ``poly_str``, which prints the numerator and the report's
+characteristic polynomial of up to 10^6 + 1 coefficients, makes its
+text with one ``%`` operation: one format per distinct coefficient, such
+as ``" - 3*t^%d"``, made once, the formats of the nonzero coefficients
+joined, highest power first, and the join applied to the tuple of their
+exponents.  The constructor ``RationalFunction(scale, num, den)`` stays
+for ``dataclasses.replace``, with which the benchmark's self-test makes
+a wrong function; one built that way has no parts, so it cannot be
+compared or hashed.
 
 The closed form ``zeta_general`` sums, over the bamboos of an annotated
 tree, one determinant term per cone of the bamboo's fan, one term per
@@ -65,6 +71,7 @@ import contextlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -141,7 +148,8 @@ class RationalFunction:
 def rational_str(scale: str, num, den) -> str:
     """The printed form ``scale * num(s) / prod (N*s + nu)^exp``, from
     ``scale`` as text, ``str(Fraction)``, the numerator's coefficients
-    and ``den`` as ``((N, nu), exp)`` pairs; a factor 1 is not printed."""
+    and ``den`` as ``((N, nu), exp)`` pairs, ``N >= 1``; a factor 1 is
+    not printed."""
     if not num:
         return "0"
     body = poly_str(num, "s")
@@ -155,36 +163,47 @@ def rational_str(scale: str, num, den) -> str:
         head = "-" + body
     else:
         head = f"{scale} * {body}"
-    facs = [f"({poly_str((v, n), 's')})" + (f"^{e}" if e > 1 else "") for (n, v), e in den]
+    facs = [f"({_linear_str(n, v)})" + (f"^{e}" if e > 1 else "") for (n, v), e in den]
     if not facs:
         return head
     return f"{head} / {facs[0]}" if len(facs) == 1 else f"{head} / ({' * '.join(facs)})"
 
 
-class _TermHeads(dict):
-    """Sign and magnitude of a term by its coefficient: " + 3*", " - "."""
+def _linear_str(n, v):
+    """``N*s + nu`` as ``poly_str((nu, N), "s")`` prints it, for N >= 1."""
+    head = "s" if n == 1 else f"{n}*s"
+    return f"{head} + {v}" if v > 0 else f"{head} - {-v}" if v else head
+
+
+class _TermFormats(dict):
+    """The format of a term by its coefficient: " + 3*t^%d", " - t^%d"."""
+
+    def __init__(self, var):
+        super().__init__()
+        self.var = var
 
     def __missing__(self, c):
         mag = abs(c)
-        head = self[c] = (" + " if c > 0 else " - ") + ("" if mag == 1 else f"{mag}*")
-        return head
+        head = (" + " if c > 0 else " - ") + ("" if mag == 1 else f"{mag}*")
+        fmt = self[c] = f"{head}{self.var}^%d"
+        return fmt
 
 
 def poly_str(coeffs, var):
-    """Human form of a coefficient list, highest power first."""
-    heads = _TermHeads()
-    terms = [f"{heads[c]}{var}^{i}"
-             for i, c in zip(range(len(coeffs) - 1, 1, -1), reversed(coeffs)) if c]
+    """Human form of a coefficient list, highest power first: one format
+    per nonzero coefficient, joined and applied to their exponents at once."""
+    formats = _TermFormats(var)
+    high = coeffs[:1:-1]        # the coefficients of var^2 and up, highest first
+    text = "".join(map(formats.__getitem__, filter(None, high)))
     if len(coeffs) > 1 and coeffs[1]:
-        terms.append(heads[coeffs[1]] + var)
+        text += formats[coeffs[1]][:-3]
     if coeffs and coeffs[0]:
         c = coeffs[0]
-        terms.append(f"{' + ' if c > 0 else ' - '}{abs(c)}")
-    if not terms:
+        text += f"{' + ' if c > 0 else ' - '}{abs(c)}"
+    if not text:
         return "0"
-    first = terms[0]
-    terms[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-    return "".join(terms)
+    text %= tuple(compress(range(len(coeffs) - 1, 1, -1), high))
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 class _FactorSplits(dict):

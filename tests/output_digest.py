@@ -11,6 +11,10 @@ default, and runs it in-process on:
   ``perfbench/corpora.py``, seeds 1 and 2, each with no flag, ``--json``,
   ``--oracle`` and ``--json --oracle``;
 - ``topzeta poly --oracle`` on the ``poly-wide`` corpora, seeds 1 and 2;
+- ``topzeta poly`` on the Fermat curves of ``WIDE_FERMAT``, past
+  ``poly-wide``'s n <= 201, with and without ``--json``: their
+  characteristic polynomials have binomial coefficients of up to 239
+  digits;
 - the verdicts of ``check_instance`` on the ``fuzz-oracle`` corpora,
   seeds 1 and 2, as the benchmark prints them;
 - ``topzeta fuzz --count 200 --seed 7 --json``;
@@ -40,6 +44,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SEEDS = (1, 2)
 TREE_FLAGS = ([], ["--json"], ["--oracle"], ["--json", "--oracle"])
+WIDE_FERMAT = ("x^400 + y^400", "x^800 + y^800")
 SUB = {"faces": [{"a": 2, "b": 7, "classes": ["leaf"]}]}
 # trees that the JSON reader or the validator rejects; no diagnostic of
 # theirs names the file, so the digest does not depend on where it is
@@ -101,6 +106,9 @@ def main(root: Path) -> None:
         for i, (tree, ray_seed) in enumerate(CORPORA["fuzz-oracle"](seed)):
             verdicts = cli.check_instance(cli.tree_from_json(tree), ray_seed=ray_seed)
             add(f"fuzz-oracle-{seed}-{i}", 0, json.dumps(verdicts, sort_keys=True))
+    for expr in WIDE_FERMAT:
+        for flags in ([], ["--json"]):
+            run(f"{expr} {flags}", ["poly", expr, *flags])
     run("fuzz", ["fuzz", "--count", "200", "--seed", "7", "--json"])
     print(f"{digest.hexdigest()}  {count} outputs")
 

@@ -6,8 +6,10 @@ from math import comb, gcd, lcm
 import pytest
 
 import poly_arith
+import reference_charpoly
 from rational_euclid import divmod_frac
-from topzeta.cli import random_tree
+from topzeta import monodromy
+from topzeta.cli import random_tree, tree_from_json
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
 from topzeta.monodromy import (CycloProduct, acampo_from_graph,
                                characteristic_poly, conjecture_report,
@@ -190,6 +192,34 @@ def strides(factors):
     return out
 
 
+def sparse_powers(factors, h):
+    """The powers ``(n, j, e)``, the j-th of ``(1 - t^n)^e`` in the order
+    characteristic_poly applies them (n <= h), and how many of them it
+    takes into its sparse map.  The map's keys are modelled as the set
+    of sums of the exponents applied, up to h."""
+    steps = sorted(((n, e) for n, e in factors if n > 1), key=lambda f: f[1] < 0)
+    # (1 - t)^e goes in where the gcd of the exponents would first reach 1
+    g, at = 0, len(steps)
+    for i, (n, _) in enumerate(steps):
+        g = gcd(g, n)
+        if g == 1:
+            at = i
+            break
+    steps.insert(at, (1, dict(factors).get(1, 0)))
+    powers, keys, done, g = [], {0}, None, 0
+    for n, e in steps:
+        g = gcd(g, n)
+        if n > h:
+            continue
+        for j in range(abs(e)):
+            if done is None and (e < 0 or 3 * len(keys) > (h - n) // g):
+                done = len(powers)
+            if done is None:
+                keys |= {k + n for k in keys if k + n <= h}
+            powers.append((n, j, e))
+    return powers, len(powers) if done is None else done
+
+
 def divided_expansion(factors):
     """The coefficients of prod (1 - t^n)^e over its whole degree, with no
     mirroring: dense products, then exact divisions."""
@@ -213,7 +243,8 @@ def test_characteristic_poly_matches_polynomial_division():
             "strided multiplication": 0, "strided division": 0,
             "block division": 0, "residue-class division": 0,
             "odd mu": 0, "even mu": 0, "sign != (-1)^mu": 0,
-            "zero middle coefficient": 0}
+            "zero middle coefficient": 0, "all positive powers sparse": 0,
+            "switch inside a factor's powers": 0, "switch between two factors": 0}
     checked = 0
     while checked < 150:
         exps = {}
@@ -244,6 +275,13 @@ def test_characteristic_poly_matches_polynomial_division():
         divisions = [(n, g) for n, e, g in steps if e < 0 and n <= h]
         seen["block division"] += any(h // n < n // g for n, g in divisions)
         seen["residue-class division"] += any(h // n >= n // g for n, g in divisions)
+        # positive powers go into a sparse map until a dense pass pays
+        powers, done = sparse_powers(factors, h)
+        if all(e < 0 for _, _, e in powers[done:]):
+            seen["all positive powers sparse"] += any(e > 0 for _, _, e in powers)
+        elif done and powers[done][2] > 0:
+            key = "between two factors" if powers[done][1] == 0 else "inside a factor's powers"
+            seen["switch " + key] += 1
         seen["odd mu"] += mu % 2 == 1
         seen["even mu"] += mu % 2 == 0
         if (-1) ** sum(e for _, e in factors) != (-1) ** mu:
@@ -253,6 +291,45 @@ def test_characteristic_poly_matches_polynomial_division():
                 assert delta.coeffs[mu // 2] == 0
                 seen["zero middle coefficient"] += 1
     assert all(seen.values()), seen
+
+
+def test_characteristic_poly_matches_the_dense_reference(perfbench):
+    # the sparse phase against the dense-only expansion it replaced: the
+    # 500 seed-7 trees, the tree-report corpora of seeds 1 and 2, whose
+    # largest trees run nearly every positive power sparse, and x^n + y^n,
+    # whose powers of (1 - t^n) go dense partway
+    rng = random.Random(7)
+    trees = [random_tree(rng) for _ in range(500)]
+    for seed in (1, 2):
+        trees += map(tree_from_json, perfbench["corpora"].tree_report_corpus(seed))
+    zetas = [monodromy_zeta(annotate(tree)) for tree in trees]
+    zetas += [monodromy_zeta(annotate_faces([(1, 1, n)])) for n in [*range(2, 202), 400, 800]]
+    expanded = 0
+    for z in zetas:
+        delta = characteristic_poly(z)
+        if delta.coeffs is not None:
+            assert delta.coeffs == reference_charpoly.expansion(delta.cyclo), delta.cyclo
+            expanded += 1
+    assert expanded == 167 + 24 + 202, expanded
+
+
+def test_a_sparse_product_makes_no_dense_pass(monkeypatch):
+    # every positive power of (1 - t)(1 - t^1000) prod (1 - t^p), p five
+    # numbers near 30000, fits the sparse map (64 terms below h = 75,581),
+    # so no dense pass subtracts a slot; the powers of
+    # (1 - t^60) for x^60 + y^60 go dense after nine
+    slots = []
+
+    def counting_sub(a, b):
+        slots.append(a)
+        return a - b
+
+    monkeypatch.setattr(monodromy, "sub", counting_sub)
+    z = cyclo({1000: 1, 30011: 1, 30013: 1, 30029: 1, 30047: 1, 30059: 1})
+    delta = characteristic_poly(z)
+    assert delta.coeffs == reference_charpoly.expansion(delta.cyclo) and slots == []
+    delta = characteristic_poly(monodromy_zeta(annotate_faces([(1, 1, 60)])))
+    assert delta.coeffs == reference_charpoly.expansion(delta.cyclo) and slots
 
 
 def test_characteristic_poly_of_degree_zero():

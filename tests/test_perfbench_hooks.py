@@ -7,7 +7,7 @@ that ``FUZZ_RECORDED`` names on ``topzeta.cli``.  Deleting one of those
 functions would break ``perfbench/run.py --trace 1`` or the fuzz value
 checks only when the benchmark runs, and so would a change to what
 ``check_instance`` returns or computes; these tests see it first.  The
-files are imported without writing bytecode next to them.
+``perfbench`` fixture of ``conftest.py`` imports the files.
 """
 
 import importlib
@@ -24,25 +24,6 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CUSP = {"faces": [{"a": 2, "b": 3, "classes": ["leaf"]}]}
 THREE_LEVEL = json.loads(
     (Path(__file__).resolve().parent / "golden" / "trees" / "three_level.json").read_text())
-
-
-@pytest.fixture(scope="module")
-def perfbench():
-    saved_path, saved_modules = list(sys.path), set(sys.modules)
-    dont_write = sys.dont_write_bytecode
-    sys.path.insert(0, str(PERFBENCH))
-    sys.dont_write_bytecode = True
-    try:
-        modules = {name: importlib.import_module(name) for name in ("spans", "checks", "oracle")}
-        for mod in modules.values():
-            assert Path(mod.__file__).parent == PERFBENCH
-        yield modules
-    finally:
-        sys.path[:] = saved_path
-        sys.dont_write_bytecode = dont_write
-        for name in set(sys.modules) - saved_modules:
-            if Path(getattr(sys.modules[name], "__file__", None) or "").parent == PERFBENCH:
-                del sys.modules[name]
 
 
 def test_every_traced_function_exists(perfbench):

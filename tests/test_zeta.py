@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import reference_report
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.zeta import (Pole, RationalFunction, _canonical, candidate_poles, poles,
-                          poly_str, rational_str, rf_sum, zeta_general, zeta_nondegenerate)
+from topzeta.zeta import (Pole, RationalFunction, _canonical, _unlimited_digits,
+                          candidate_poles, poles, poly_str, rational_str, rf_sum,
+                          zeta_general, zeta_nondegenerate)
 
 
 def annotated(*faces):
@@ -330,11 +331,31 @@ def test_poly_str_matches_the_per_term_printer():
         for var in ("s", "t"):
             assert poly_str(coeffs, var) == poly_str_per_term(coeffs, var), coeffs
             assert poly_str(tuple(coeffs), var) == poly_str_per_term(coeffs, var)
+    # lists of the length of a characteristic polynomial: mostly +-1,
+    # with runs of zeros
+    for size in (10 ** 4, 3 * 10 ** 4, 10 ** 5):
+        coeffs = []
+        while len(coeffs) < size:
+            coeffs += [0] * rng.choice((0, 1, 5, 200)) + [rng.choice((-1, 1, 1, -2, 3))]
+        assert poly_str(coeffs, "t") == poly_str_per_term(coeffs, "t")
+    # a nonzero var^1 or constant term alone, and a leading -1
+    for coeffs in ([0, 1], [0, -7], [0, 1, 0], [0, -1, 0, 0], [5], [-1, 0], [3, 0, 0],
+                   [0, 0, -1], [2, 0, -1], [0, 1, -1], [-1, 0, 0, -1], [0]):
+        assert poly_str(coeffs, "t") == poly_str_per_term(coeffs, "t"), coeffs
+    # a coefficient past Python's default int-to-str limit of 4,300 digits
+    with _unlimited_digits():
+        coeffs = [1, 0, -(10 ** 5000 + 1), 1, -1]
+        assert poly_str(coeffs, "s") == poly_str_per_term(coeffs, "s")
 
 
 def test_denominator_factors_print_as_poly_str():
     assert [poly_str((v, n), "s") for n, v in ((1, 1), (6, 5), (1, -2), (3, 0))] == [
         "s + 1", "6*s + 5", "s - 2", "3*s"]
+    # rational_str prints each factor N*s + nu itself, as poly_str would
+    for n in (1, 2, 6, 10 ** 30):
+        for v in (0, 1, -1, 5, -2, 10 ** 30, -(10 ** 30)):
+            want = f"1 / ({poly_str((v, n), 's')})"
+            assert rational_str("1", (1,), (((n, v), 1),)) == want
 
 
 # --- closed forms ------------------------------------------------------------
