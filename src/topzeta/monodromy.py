@@ -24,30 +24,35 @@ the half, must already equal its mirror image.  The factors
 ``(1 - t^n)`` with n > 1 go in with positive exponents first, in
 ascending n, then with negative ones; a factor with n > h is 1 modulo
 ``t^(h + 1)`` and is skipped, though its n still enters the stride g
-below.  The positive powers go first into a sparse map from exponent to
-coefficient, where multiplying by ``1 - t^n`` costs one step per term of
-the map; the product of a tree's factors has mostly empty support below
-h, 73 to 2,888 terms on four of the five largest trees of one benchmark
-corpus, where h is 61,930 to 283,403.  Before each power the map's size
-is compared with the length ``(h - n) // g`` of the dense pass that
-power would make; once three times the size is larger, or at the first
-division, the map is written into the dense list ``c[0..h]``, and every
-power left runs there.  The choice reads only those two lengths, so it
-follows the input: the positive powers of a large tree nearly all run
-sparse, and those of ``x^n + y^n`` go dense after about n/6.  The
+below.  The positive factors go first into a sparse map from exponent
+to coefficient, each whole: ``(1 - t^n)^e`` adds to the map its
+shifts by ``t^(nk)`` times ``(-1)^k C(e, k)``, k <= min(e, h // n),
+one step per term of the map and k.  The product of a tree's factors
+has mostly empty support below h, 73 to 2,888 terms on four of the
+five largest trees of one benchmark corpus, where h is 61,930 to
+283,403.  Before each factor the map's size is compared with the
+length ``(h - n) // g`` of a dense pass of that factor; once three
+times the size is larger, or at the first division, the map is written
+into the dense list ``c[0..h]``, and every factor left runs there, one
+power at a time.  The choice reads only those two lengths, so it
+follows the input: the positive factors of a large tree nearly all run
+sparse, and so does all of ``x^n + y^n`` for n >= 10, whose
+``(1 - t^n)^(n - 2)`` has about n/2 terms below h.  When no factor is
+left for the dense list, the whole list ``c[0..mu]`` is written from
+the map and its mirror image, with no pass over ``c[0..h]``.  The
 factor 3 is no option: it weighs a dictionary step against a slot of a
 slice pass, costs that the interpreter sets, not the input, and the
-expansion times of the benchmark's trees and Fermat curves are flat for
-factors from 3 to 10 and grow below 3.  A dense multiplication is a shifted subtraction.  A
-division is a running sum, either along each residue class mod n (n/g
-classes) or one block of n coefficients after another (h/n blocks),
-whichever takes fewer Python-level steps.  Each runs at stride g, the
-gcd of the exponents applied so far, since the series is zero off the
-multiples of g.  ``(1 - t)^e`` goes in at the first factor that would
-bring g to 1, or last.  Truncation to ``t^(h + 1)`` is a ring map, so
-the order of the steps does not matter, and the truncated series is the
-polynomial's own low part: the root multiplicities, all nonnegative,
-show the product is of degree ``mu``.
+expansion times of the benchmark's trees are flat for factors from 2
+to 6 and grow at 1 and 10.  A dense multiplication is a shifted
+subtraction.  A division is a running sum, either along each residue
+class mod n (n/g classes) or one block of n coefficients after another
+(h/n blocks), whichever takes fewer Python-level steps.  Each runs at
+stride g, the gcd of the exponents applied so far, since the series is
+zero off the multiples of g.  ``(1 - t)^e`` goes in at the first factor
+that would bring g to 1, or last.  Truncation to ``t^(h + 1)`` is a
+ring map, so the order of the steps does not matter, and the truncated
+series is the polynomial's own low part: the root multiplicities, all
+nonnegative, show the product is of degree ``mu``.
 """
 
 from __future__ import annotations
@@ -176,40 +181,52 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
         at = next((i for i, g in enumerate(accumulate((n for n, _ in steps), gcd))
                    if g == 1), len(steps))
         steps.insert(at, (1, cyclo.exponents().get(1, 0)))
-        # one (n, stride, +1 or -1) per power of a factor (1 - t^n)
-        powers = []
+        # one (n, stride, e) per factor (1 - t^n)^e, n <= h and e != 0
+        factors = []
         g = 0
         for n, e in steps:
             g = gcd(g, n)
-            if n <= h:          # 1 - t^n is 1 modulo t^(h + 1) otherwise
-                powers += [(n, g, 1 if e > 0 else -1)] * abs(e)
-        # positive powers into a sparse map, exponent -> coefficient, while
-        # it holds at most a third as many terms as the power's dense pass
-        # has slots
+            if n <= h and e:    # 1 - t^n is 1 modulo t^(h + 1) otherwise
+                factors.append((n, g, e))
+        # positive factors into a sparse map, exponent -> coefficient, while
+        # it holds at most a third as many terms as a dense pass of the
+        # factor has slots; each goes in whole, as its binomial terms
         terms = {0: 1}
         done = 0
-        for n, g, e in powers:
+        for n, g, e in factors:
             if e < 0 or 3 * len(terms) > (h - n) // g:
                 break
-            for k, c in [(k + n, -c) for k, c in terms.items() if k <= h - n]:
-                terms[k] = terms.get(k, 0) + c
+            old = list(terms.items())
+            b = 1
+            for k in range(1, min(e, h // n) + 1):
+                s, b = n * k, -b * (e - k + 1) // k     # (-1)^k C(e, k)
+                for j, c in [(j + s, b * c) for j, c in old if j <= h - s]:
+                    terms[j] = terms.get(j, 0) + c
             done += 1
-        f = [0] * (h + 1)
+        # with no factor left for the dense passes, the list is written
+        # whole, c[0..mu], and mirrored from the map
+        sparse = done == len(factors)
+        f = [0] * ((mu if sparse else h) + 1)
         for k, c in terms.items():
             f[k] = c
         top = max(terms)
-        for n, g, e in powers[done:]:
-            top = min(top + n, h) if e > 0 else h
-            if e > 0:
-                f[n:top + 1:g] = map(sub, f[n:top + 1:g], f[:top + 1 - n:g])
-            elif h // n < n // g:   # fewer blocks of n than residue classes
-                for k in range(n, h + 1, n):
-                    f[k:k + n:g] = map(add, f[k:k + n:g], f[k - n:k:g])
-            else:
-                for r in range(0, n, g):
-                    f[r::n] = accumulate(f[r::n])
+        for n, g, e in factors[done:]:      # one power at a time
+            for _ in range(abs(e)):
+                top = min(top + n, h) if e > 0 else h
+                if e > 0:
+                    f[n:top + 1:g] = map(sub, f[n:top + 1:g], f[:top + 1 - n:g])
+                elif h // n < n // g:   # fewer blocks of n than residue classes
+                    for k in range(n, h + 1, n):
+                        f[k:k + n:g] = map(add, f[k:k + n:g], f[k - n:k:g])
+                else:
+                    for r in range(0, n, g):
+                        f[r::n] = accumulate(f[r::n])
         assert f[h] == sign * f[mu - h]
-        if mu > h:
+        if sparse:
+            for k, c in terms.items():
+                if mu - k > h:
+                    f[mu - k] = sign * c
+        elif mu > h:
             tail = f[mu - h - 1::-1]
             f += tail if sign == 1 else map(neg, tail)
         coeffs = tuple(f)

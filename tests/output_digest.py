@@ -13,8 +13,9 @@ default, and runs it in-process on:
 - ``topzeta poly --oracle`` on the ``poly-wide`` corpora, seeds 1 and 2;
 - ``topzeta poly`` on the Fermat curves of ``WIDE_FERMAT``, past
   ``poly-wide``'s n <= 201, with and without ``--json``: their
-  characteristic polynomials have binomial coefficients of up to 239
-  digits;
+  characteristic polynomials have binomial coefficients of up to 299
+  digits, and that of x^1000 + y^1000, mu = 998,001, is the largest
+  Fermat curve's under the expansion cap;
 - the verdicts of ``check_instance`` on the ``fuzz-oracle`` corpora,
   seeds 1 and 2, as the benchmark prints them;
 - ``topzeta fuzz --count 200 --seed 7 --json``;
@@ -44,7 +45,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SEEDS = (1, 2)
 TREE_FLAGS = ([], ["--json"], ["--oracle"], ["--json", "--oracle"])
-WIDE_FERMAT = ("x^400 + y^400", "x^800 + y^800")
+WIDE_FERMAT = ("x^400 + y^400", "x^800 + y^800", "x^1000 + y^1000")
 SUB = {"faces": [{"a": 2, "b": 7, "classes": ["leaf"]}]}
 # trees that the JSON reader or the validator rejects; no diagnostic of
 # theirs names the file, so the digest does not depend on where it is

@@ -192,11 +192,11 @@ def strides(factors):
     return out
 
 
-def sparse_powers(factors, h):
-    """The powers ``(n, j, e)``, the j-th of ``(1 - t^n)^e`` in the order
-    characteristic_poly applies them (n <= h), and how many of them it
-    takes into its sparse map.  The map's keys are modelled as the set
-    of sums of the exponents applied, up to h."""
+def sparse_factors(factors, h):
+    """The factors ``(n, g, e)`` of prod (1 - t^n)^e, g the stride, in the
+    order characteristic_poly applies them (n <= h, e != 0), how many of
+    them it takes whole into its sparse map, and the map's keys then,
+    modelled as the set of sums of the exponents applied, up to h."""
     steps = sorted(((n, e) for n, e in factors if n > 1), key=lambda f: f[1] < 0)
     # (1 - t)^e goes in where the gcd of the exponents would first reach 1
     g, at = 0, len(steps)
@@ -206,18 +206,31 @@ def sparse_powers(factors, h):
             at = i
             break
     steps.insert(at, (1, dict(factors).get(1, 0)))
-    powers, keys, done, g = [], {0}, None, 0
+    applied, keys, done, g = [], {0}, None, 0
     for n, e in steps:
         g = gcd(g, n)
-        if n > h:
+        if n > h or e == 0:
             continue
-        for j in range(abs(e)):
-            if done is None and (e < 0 or 3 * len(keys) > (h - n) // g):
-                done = len(powers)
-            if done is None:
-                keys |= {k + n for k in keys if k + n <= h}
-            powers.append((n, j, e))
-    return powers, len(powers) if done is None else done
+        if done is None and (e < 0 or 3 * len(keys) > (h - n) // g):
+            done = len(applied)
+        if done is None:
+            keys = {k + n * i for k in keys for i in range(e + 1) if k + n * i <= h}
+        applied.append((n, g, e))
+    return applied, len(applied) if done is None else done, keys
+
+
+def dense_slots(applied, done, keys, h):
+    """How many slots the dense multiplication passes of characteristic_poly
+    subtract after its sparse map, with keys ``keys``, takes the first
+    ``done`` of the factors ``applied``."""
+    top, slots = max(keys), 0
+    for n, g, e in applied[done:]:
+        for _ in range(e):
+            top = min(top + n, h)
+            slots += len(range(0, top + 1 - n, g))
+        if e < 0:
+            top = h
+    return slots
 
 
 def divided_expansion(factors):
@@ -234,7 +247,7 @@ def divided_expansion(factors):
     return ref
 
 
-def test_characteristic_poly_matches_polynomial_division():
+def test_characteristic_poly_matches_polynomial_division(monkeypatch):
     # products of cyclotomic polynomials Phi_d^m (up to sign), written as
     # prod (1 - t^n)^e by Moebius inversion, against a reference that
     # multiplies and exactly divides dense polynomials
@@ -244,7 +257,17 @@ def test_characteristic_poly_matches_polynomial_division():
             "block division": 0, "residue-class division": 0,
             "odd mu": 0, "even mu": 0, "sign != (-1)^mu": 0,
             "zero middle coefficient": 0, "all positive powers sparse": 0,
-            "switch inside a factor's powers": 0, "switch between two factors": 0}
+            "factor with e >= 2 in one step": 0,
+            "every factor sparse, mirrored from the map": 0,
+            "switch between two factors": 0}
+    # the slots that the dense multiplication passes subtract
+    slots = []
+
+    def counting_sub(a, b):
+        slots.append(a)
+        return a - b
+
+    monkeypatch.setattr(monodromy, "sub", counting_sub)
     checked = 0
     while checked < 150:
         exps = {}
@@ -254,6 +277,7 @@ def test_characteristic_poly_matches_polynomial_division():
                 if d % k == 0 and mobius(d // k):
                     exps[k] = exps.get(k, 0) + m * mobius(d // k)
         exps[1] = exps.get(1, 0) - 1     # characteristic_poly multiplies by (1 - t)
+        slots.clear()
         delta = characteristic_poly(cyclo(exps))
         if delta.mu > 400:
             continue
@@ -275,13 +299,19 @@ def test_characteristic_poly_matches_polynomial_division():
         divisions = [(n, g) for n, e, g in steps if e < 0 and n <= h]
         seen["block division"] += any(h // n < n // g for n, g in divisions)
         seen["residue-class division"] += any(h // n >= n // g for n, g in divisions)
-        # positive powers go into a sparse map until a dense pass pays
-        powers, done = sparse_powers(factors, h)
-        if all(e < 0 for _, _, e in powers[done:]):
-            seen["all positive powers sparse"] += any(e > 0 for _, _, e in powers)
-        elif done and powers[done][2] > 0:
-            key = "between two factors" if powers[done][1] == 0 else "inside a factor's powers"
-            seen["switch " + key] += 1
+        # positive factors go whole into a sparse map until a dense pass
+        # pays; the dense passes after the model's switch point subtract
+        # as many slots as the code's
+        applied, done, keys = sparse_factors(factors, h)
+        assert len(slots) == dense_slots(applied, done, keys, h), factors
+        seen["factor with e >= 2 in one step"] += any(
+            e >= 2 and 2 * n <= h for n, _, e in applied[:done])
+        if done == len(applied):
+            seen["every factor sparse, mirrored from the map"] += 1
+        elif all(e < 0 for _, _, e in applied[done:]):
+            seen["all positive powers sparse"] += any(e > 0 for _, _, e in applied)
+        elif done:
+            seen["switch between two factors"] += 1
         seen["odd mu"] += mu % 2 == 1
         seen["even mu"] += mu % 2 == 0
         if (-1) ** sum(e for _, e in factors) != (-1) ** mu:
@@ -296,28 +326,34 @@ def test_characteristic_poly_matches_polynomial_division():
 def test_characteristic_poly_matches_the_dense_reference(perfbench):
     # the sparse phase against the dense-only expansion it replaced: the
     # 500 seed-7 trees, the tree-report corpora of seeds 1 and 2, whose
-    # largest trees run nearly every positive power sparse, and x^n + y^n,
-    # whose powers of (1 - t^n) go dense partway
+    # largest trees run nearly every positive factor sparse, the poly-wide
+    # corpora of seeds 1 and 2, whose products take factors with e up to 4
+    # and divisions, and x^n + y^n up to n = 1000, mirrored from the map
     rng = random.Random(7)
     trees = [random_tree(rng) for _ in range(500)]
+    faces = []
     for seed in (1, 2):
         trees += map(tree_from_json, perfbench["corpora"].tree_report_corpus(seed))
+        faces += [f for _, f, _ in perfbench["corpora"].poly_wide_corpus(seed)]
+    faces += [[(1, 1, n)] for n in [*range(2, 202), 400, 800, 1000]]
     zetas = [monodromy_zeta(annotate(tree)) for tree in trees]
-    zetas += [monodromy_zeta(annotate_faces([(1, 1, n)])) for n in [*range(2, 202), 400, 800]]
+    zetas += [monodromy_zeta(annotate_faces(f)) for f in faces]
     expanded = 0
     for z in zetas:
         delta = characteristic_poly(z)
         if delta.coeffs is not None:
             assert delta.coeffs == reference_charpoly.expansion(delta.cyclo), delta.cyclo
             expanded += 1
-    assert expanded == 167 + 24 + 202, expanded
+    assert expanded == 167 + 24 + 2 * 100 + 203, expanded
 
 
 def test_a_sparse_product_makes_no_dense_pass(monkeypatch):
-    # every positive power of (1 - t)(1 - t^1000) prod (1 - t^p), p five
+    # every positive factor of (1 - t)(1 - t^1000) prod (1 - t^p), p five
     # numbers near 30000, fits the sparse map (64 terms below h = 75,581),
-    # so no dense pass subtracts a slot; the powers of
-    # (1 - t^60) for x^60 + y^60 go dense after nine
+    # and so does (1 - t^60)^58 of x^60 + y^60, taken whole: no dense pass
+    # subtracts a slot.  For (1 - t)(1 - t^2)^5 (1 - t^3)^5 the map holds 6
+    # terms after (1 - t^2)^5, and three times 6 is more than the 13 slots
+    # of a dense pass of (1 - t) below h = 14, so the rest goes dense
     slots = []
 
     def counting_sub(a, b):
@@ -329,6 +365,8 @@ def test_a_sparse_product_makes_no_dense_pass(monkeypatch):
     delta = characteristic_poly(z)
     assert delta.coeffs == reference_charpoly.expansion(delta.cyclo) and slots == []
     delta = characteristic_poly(monodromy_zeta(annotate_faces([(1, 1, 60)])))
+    assert delta.coeffs == reference_charpoly.expansion(delta.cyclo) and slots == []
+    delta = characteristic_poly(cyclo({2: 5, 3: 5}))
     assert delta.coeffs == reference_charpoly.expansion(delta.cyclo) and slots
 
 
