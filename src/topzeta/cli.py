@@ -30,8 +30,8 @@ from math import gcd
 
 from .equitree import (Bamboo, Face, InvalidTreeError, LEAF, annotate, annotate_faces,
                        tree_from_json, tree_to_json)
-from .monodromy import (CycloProduct, acampo_from_graph, characteristic_poly,
-                        conjecture_report, monodromy_zeta)
+from .monodromy import (CycloProduct, acampo_from_graph, candidate_powers,
+                        characteristic_poly, conjecture_report, monodromy_zeta)
 from .newton import (DegenerateCurveError, newton_faces, parse_poly,
                      poly_to_str, to_face_specs)
 from .resolution import build_graph, chain_determinant_check, definitional_zeta
@@ -199,8 +199,9 @@ def render_report(report: dict) -> str:
     zm = CycloProduct(tuple((f["n"], f["e"]) for f in report["monodromy_zeta"]))
     lines.append(f"monodromy zeta: {zm}")
     dj = report["delta"]
-    delta = (poly_str(dj["coeffs"], "t") if dj["coeffs"] is not None
-             else CycloProduct(tuple((f["n"], f["e"]) for f in dj["factors"])))
+    delta = CycloProduct(tuple((f["n"], f["e"]) for f in dj["factors"]))
+    if dj["coeffs"] is not None:
+        delta = poly_str(dj["coeffs"], "t", candidate_powers(delta))
     lines.append(f"char poly H1: {delta}")
     lines.append(f"milnor number: {report['milnor_number']}")
     conj = report["conjecture"]
@@ -355,11 +356,29 @@ def _read_int(literal: str) -> int:
         raise OverflowError(len(literal.lstrip("-"))) from None
 
 
+_COEFFS = "\0coeffs"     # stands in for delta.coeffs while the rest is encoded
+
+
+def json_report(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte.  With ``indent``
+    set, ``json`` encodes in Python, one call per item, so the list
+    ``delta.coeffs`` of up to 10^6 + 1 integers is written by one join,
+    at the indentation of a list two levels down, in place of a marker
+    that stands for it while the rest is encoded."""
+    coeffs = report["delta"]["coeffs"]
+    if not coeffs:
+        return json.dumps(report, indent=2)
+    text = json.dumps({**report, "delta": {**report["delta"], "coeffs": _COEFFS}}, indent=2)
+    # the last marker is delta's: only the input, before it, holds user text
+    head, _, tail = text.rpartition(json.dumps(_COEFFS))
+    return head + "[\n      " + ",\n      ".join(map(str, coeffs)) + "\n    ]" + tail
+
+
 def _render(report, as_json) -> str:
     """The whole report as one string, so that no error leaves part of it
     written."""
     with _unlimited_digits():
-        return json.dumps(report, indent=2) + "\n" if as_json else render_report(report)
+        return json_report(report) + "\n" if as_json else render_report(report)
 
 
 def main(argv=None) -> int:

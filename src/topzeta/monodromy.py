@@ -53,6 +53,19 @@ that would bring g to 1, or last.  Truncation to ``t^(h + 1)`` is a
 ring map, so the order of the steps does not matter, and the truncated
 series is the polynomial's own low part: the root multiplicities, all
 nonnegative, show the product is of degree ``mu``.
+
+The support of the polynomial follows from the same stride.  With g the
+gcd of the exponents n > 1 and ``e_1`` the exponent of ``1 - t``, it is
+``(1 - t)^e_1 P(t^g)``, where ``P(u) = prod (1 - u^(n/g))^e_n`` over
+n > 1 is a power series in u.  When ``e_1 >= 0`` the first factor is a
+polynomial of degree ``e_1``, so the coefficient of ``t^m`` is a sum over
+``m = kg + j``, ``0 <= j <= e_1``, of ``(-1)^j C(e_1, j)`` times that of
+``u^k`` in P: it is zero at every other power.  And ``mu = e_1 + sum n
+e_n`` is ``e_1`` modulo g.  ``candidate_powers`` lists those powers when
+they are not all of them, that is when ``g > e_1 + 1``; then they number
+about ``(e_1 + 1) mu / g``.  For ``x^n + y^n``, ``(1 - t)(1 - t^n)^(n -
+2)``, that is ``2 (n - 1)`` of ``(n - 1)^2 + 1``.  The text report
+prints the polynomial from those powers alone.
 """
 
 from __future__ import annotations
@@ -231,6 +244,20 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
             f += tail if sign == 1 else map(neg, tail)
         coeffs = tuple(f)
     return CharPoly(cyclo, coeffs, mu)
+
+
+def candidate_powers(cyclo: CycloProduct) -> list[int] | None:
+    """The powers of t that may hold a nonzero coefficient of the
+    polynomial ``cyclo``, highest first: every ``kg + j <= mu`` with
+    ``0 <= j <= e_1``, where g is the gcd of the exponents n > 1 and
+    ``e_1`` that of ``1 - t``.  None, for all powers, when ``e_1 < 0`` or
+    ``g <= e_1 + 1``, where those are all the powers."""
+    e1 = cyclo.exponents().get(1, 0)
+    g = gcd(*(n for n, _ in cyclo.factors if n > 1))
+    if e1 < 0 or g <= e1 + 1:
+        return None
+    mu = sum(n * e for n, e in cyclo.factors)    # mu - e1 is a multiple of g
+    return [k + j for k in range(mu - e1, -1, -g) for j in range(e1, -1, -1)]
 
 
 def root_multiplicity(cyclo: CycloProduct, d: int) -> int:

@@ -52,9 +52,14 @@ characteristic polynomial of up to 10^6 + 1 coefficients, makes its
 text with one ``%`` operation: one format per distinct coefficient, such
 as ``" - 3*t^%d"``, made once, the formats of the nonzero coefficients
 joined, highest power first, and the join applied to the tuple of their
-exponents.  The constructor ``RationalFunction(scale, num, den)`` stays
-for ``dataclasses.replace``, with which the benchmark's self-test makes
-a wrong function; one built that way has no parts, so it cannot be
+exponents.  Given the powers that may hold a nonzero coefficient,
+highest first, it reads those alone: the text report passes the
+characteristic polynomial's ``monodromy.candidate_powers``, the powers
+``kg + j``, ``0 <= j <= e_1``, of its stride g, which for ``x^n + y^n``
+are ``2 (n - 1)`` of its ``(n - 1)^2 + 1`` coefficients.  The
+constructor ``RationalFunction(scale, num, den)`` stays for
+``dataclasses.replace``, with which the benchmark's self-test makes a
+wrong function; one built that way has no parts, so it cannot be
 compared or hashed.
 
 The closed form ``zeta_general`` sums, over the bamboos of an annotated
@@ -189,11 +194,18 @@ class _TermFormats(dict):
         return fmt
 
 
-def poly_str(coeffs, var):
+def poly_str(coeffs, var, powers=None):
     """Human form of a coefficient list, highest power first: one format
-    per nonzero coefficient, joined and applied to their exponents at once."""
+    per nonzero coefficient, joined and applied to their exponents at once.
+    ``powers`` lists, highest first, every power that may hold a nonzero
+    coefficient, as ``monodromy.candidate_powers`` does; only those from
+    2 up are read.  None reads every power."""
     formats = _TermFormats(var)
-    high = coeffs[:1:-1]        # the coefficients of var^2 and up, highest first
+    if powers is None:
+        powers = range(len(coeffs) - 1, 1, -1)
+        high = coeffs[:1:-1]        # the coefficients of var^2 and up, highest first
+    else:       # powers 1 and 0 come last, past the end of high
+        high = [coeffs[p] for p in powers if p > 1]
     text = "".join(map(formats.__getitem__, filter(None, high)))
     if len(coeffs) > 1 and coeffs[1]:
         text += formats[coeffs[1]][:-3]
@@ -202,7 +214,7 @@ def poly_str(coeffs, var):
         text += f"{' + ' if c > 0 else ' - '}{abs(c)}"
     if not text:
         return "0"
-    text %= tuple(compress(range(len(coeffs) - 1, 1, -1), high))
+    text %= tuple(compress(powers, high))
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 

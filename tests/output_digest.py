@@ -16,6 +16,10 @@ default, and runs it in-process on:
   characteristic polynomials have binomial coefficients of up to 299
   digits, and that of x^1000 + y^1000, mu = 998,001, is the largest
   Fermat curve's under the expansion cap;
+- ``topzeta poly`` on the curves of ``STRIDED``, with and without
+  ``--json``: the text report reads each characteristic polynomial at
+  the powers ``kg + j``, ``0 <= j <= e_1``, alone, with g = 3 for
+  x^6 + y^9 and 4 for the others, beside the Fermat curves' g = n;
 - the verdicts of ``check_instance`` on the ``fuzz-oracle`` corpora,
   seeds 1 and 2, as the benchmark prints them;
 - ``topzeta fuzz --count 200 --seed 7 --json``;
@@ -46,6 +50,7 @@ HERE = Path(__file__).resolve().parent
 SEEDS = (1, 2)
 TREE_FLAGS = ([], ["--json"], ["--oracle"], ["--json", "--oracle"])
 WIDE_FERMAT = ("x^400 + y^400", "x^800 + y^800", "x^1000 + y^1000")
+STRIDED = ("x^6 + y^9", "x^4 - y^4", "x^12 + y^8")
 SUB = {"faces": [{"a": 2, "b": 7, "classes": ["leaf"]}]}
 # trees that the JSON reader or the validator rejects; no diagnostic of
 # theirs names the file, so the digest does not depend on where it is
@@ -107,7 +112,7 @@ def main(root: Path) -> None:
         for i, (tree, ray_seed) in enumerate(CORPORA["fuzz-oracle"](seed)):
             verdicts = cli.check_instance(cli.tree_from_json(tree), ray_seed=ray_seed)
             add(f"fuzz-oracle-{seed}-{i}", 0, json.dumps(verdicts, sort_keys=True))
-    for expr in WIDE_FERMAT:
+    for expr in WIDE_FERMAT + STRIDED:
         for flags in ([], ["--json"]):
             run(f"{expr} {flags}", ["poly", expr, *flags])
     run("fuzz", ["fuzz", "--count", "200", "--seed", "7", "--json"])

@@ -15,8 +15,10 @@ the poles and their orders off the graph's rupture divisors.  Criterion
 roots, with neither the multiplicity recursion nor the graph; criterion
 15 builds the monodromy zeta function from the same contacts, and checks
 Zariski's formula on 2000 seeded branches with a in 2..9 and 2000 with
-a in 1..9.  A last test rewrites trees into non-minimal encodings of the
-same germ.
+a in 1..9.  Criterion 17 reads the largest pole, -lct, off the point
+where the diagonal meets the Newton polygon of every face list, and off
+the first Puiseux pair of seeded branches.  A last test rewrites trees
+into non-minimal encodings of the same germ.
 """
 
 import random
@@ -46,6 +48,8 @@ UNIT_FACE_COUNT = 2000
 UNIT_TREE_SEED = 13
 UNIT_TREE_COUNT = 200
 REWRITE_SEED = 17
+LCT_BRANCH_SEED = 23
+LCT_BRANCH_COUNT = 400
 BRANCH_SEED = 19
 BRANCH_COUNT = 2000
 RAY_INSTANCES = 100
@@ -277,6 +281,19 @@ def full_expansion(factors):
             assert times_one_minus(q, n) == c, (factors, n)
             c = q
     return c
+
+
+def diagonal_point(specs):
+    """t where the diagonal meets the Newton polygon with faces (a, b, r)
+    in slope order: the face from (x, y) to (x + r b, y - r a) with
+    x <= y at its start and past it at its end meets it at x + (y - x)
+    b / (a + b)."""
+    x, y = 0, sum(r * a for a, _, r in specs)
+    for a, b, r in specs:
+        if x + r * b >= y - r * a:
+            return x + Fraction((y - x) * b, a + b)
+        x, y = x + r * b, y - r * a
+    raise AssertionError(f"the diagonal misses the polygon of {specs}")
 
 
 def leaf_rewrites(tree, new):
@@ -525,6 +542,40 @@ def test_criterion_15_monodromy_zeta_from_the_splice_diagram(tree_corpus, unit_t
     total = len(tree_corpus) + len(unit_tree_corpus)
     print(f"criterion 15 PASS  monodromy zeta from the Puiseux contacts on {total} trees, "
           f"Zariski's formula on 2 x {BRANCH_COUNT} branches")
+
+
+def test_criterion_17_largest_pole_is_minus_the_log_canonical_threshold(face_corpus,
+                                                                       unit_face_lists):
+    """For a plane curve the largest pole of Z_top is -lct.  For a
+    nondegenerate f, lct = min(1, 1/t), (t, t) where the diagonal meets
+    the Newton polygon (Varchenko; Howald); for one branch with
+    multiplicity n and first characteristic exponent beta_1, lct = 1/n +
+    1/beta_1 (Igusa).  A root face (a, b), both >= 2, over a class of
+    multiplicity A has n = aA and beta_1 = bA; A is the product of the a
+    of the levels below, on seeded chains of 1 to 4 levels."""
+    lists = [inst.specs for inst in face_corpus] + unit_face_lists
+    below_one = 0
+    for specs in lists:
+        lct = min(Fraction(1), 1 / diagonal_point(specs))
+        assert max(p.value for p in poles(zeta_general(annotate_faces(specs)))) == -lct, specs
+        below_one += lct < 1
+    rng = random.Random(LCT_BRANCH_SEED)
+    for _ in range(LCT_BRANCH_COUNT):
+        levels, depth = [], rng.randint(1, 4)
+        while len(levels) < depth:
+            a, b = rng.randint(2 if not levels else 1, 9), rng.randint(2 if not levels else 1, 9)
+            if gcd(a, b) == 1:
+                levels.append((a, b))
+        branch = LEAF
+        for a, b in reversed(levels):
+            branch = Bamboo((Face(a, b, (branch,)),))
+        (a, b), A = levels[0], prod(a for a, _ in levels[1:])
+        lct = Fraction(1, a * A) + Fraction(1, b * A)
+        assert max(p.value for p in poles(zeta_general(annotate(branch)))) == -lct, levels
+    assert 100 <= below_one < len(lists)
+    print(f"criterion 17 PASS  largest pole = -lct from the Newton polygon on {len(lists)} "
+          f"face lists ({below_one} with lct < 1) and from the first Puiseux pair on "
+          f"{LCT_BRANCH_COUNT} branches")
 
 
 def test_non_minimal_encodings_keep_the_invariants(tree_corpus, unit_tree_corpus):

@@ -420,6 +420,38 @@ def test_fuzz_reports_a_monodromy_that_is_no_polynomial(capsys, tmp_path, monkey
     assert len(list(tmp_path.glob("fuzz-fail-*.json"))) == 1
 
 
+def test_json_report_is_json_dumps_byte_for_byte(perfbench):
+    # the golden JSON reports, the tree-report, deep-large and poly-wide
+    # corpora of seeds 1 and 2, x^1000 + y^1000 and, with no expansion,
+    # x^1002 + y^1002; then a report whose input holds the marker's text.
+    # Each report is made when it is checked: the largest hold 10^6 integers
+    corpora = perfbench["corpora"]
+    golden = Path(__file__).parent / "golden"
+
+    def reports():
+        for path in sorted(golden.glob("*.json.out")):
+            report = json.loads(path.read_text(encoding="utf-8"))
+            if "delta" in report:       # not fuzz's summary
+                yield report
+        for seed in (1, 2):
+            for tree in corpora.tree_report_corpus(seed) + corpora.deep_large_corpus(seed):
+                yield analyze_tree(tree_from_json(tree))[0]
+            for expr, _, _ in corpora.poly_wide_corpus(seed):
+                yield analyze_poly(expr)[0]
+        for n in (1000, 1002):
+            yield analyze_poly(f"x^{n} + y^{n}")[0]
+        cusp = analyze_poly("y^2 - x^3")[0]
+        yield {**cusp, "input": {**cusp["input"], "expr": cli._COEFFS}}
+
+    unexpanded = 0
+    with zeta._unlimited_digits():
+        for count, report in enumerate(reports(), 1):
+            assert cli.json_report(report) == json.dumps(report, indent=2)
+            unexpanded += report["delta"]["coeffs"] is None
+    # 15 golden, 2 x (36 tree-report, 34 deep-large, 100 poly-wide) and 3
+    assert count == 358 and unexpanded >= 1
+
+
 def test_render_report_contains_every_section(cusp_file):
     report, code = analyze_tree(tree_from_json(CUSP_JSON), oracle=True)
     assert code == EXIT_OK

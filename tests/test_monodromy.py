@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -7,16 +8,18 @@ import pytest
 
 import poly_arith
 import reference_charpoly
+import reference_poly_str
+from face_specs import random_face_specs
 from rational_euclid import divmod_frac
 from topzeta import monodromy
 from topzeta.cli import random_tree, tree_from_json
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.monodromy import (CycloProduct, acampo_from_graph,
+from topzeta.monodromy import (CycloProduct, acampo_from_graph, candidate_powers,
                                characteristic_poly, conjecture_report,
                                eigenvalue_witness, monodromy_zeta,
                                root_multiplicity)
 from topzeta.resolution import build_graph, build_graph_nondegenerate
-from topzeta.zeta import zeta_general
+from topzeta.zeta import poly_str, zeta_general
 
 
 def annotated(*faces):
@@ -368,6 +371,93 @@ def test_a_sparse_product_makes_no_dense_pass(monkeypatch):
     assert delta.coeffs == reference_charpoly.expansion(delta.cyclo) and slots == []
     delta = characteristic_poly(cyclo({2: 5, 3: 5}))
     assert delta.coeffs == reference_charpoly.expansion(delta.cyclo) and slots
+
+
+@pytest.fixture(scope="module")
+def deltas(perfbench):
+    """The characteristic polynomials of the acceptance corpora, the 500
+    seed-7 trees and the 200 seed-11 face lists with their golden
+    instances, and of the poly-wide corpora of seeds 1 and 2; then
+    ``(1 - t)^e1 prod (1 - t^(g m))^e``, m in 1..6, built directly: five
+    polynomials of stride g for each g in 2..12 and e1 in {-1, 0, 1, 2}.
+    Each is expanded if it has candidate powers or is of degree 5000 at
+    most: past that, the rest have every power as a candidate."""
+    rng = random.Random(7)
+    zetas = [monodromy_zeta(annotate(random_tree(rng))) for _ in range(500)]
+    zetas += [monodromy_zeta(CUSP), monodromy_zeta(TWO_PAIR)]
+    rng = random.Random(11)
+    faces = [random_face_specs(rng) for _ in range(200)] + [[(3, 2, 1), (2, 3, 1)]]
+    for seed in (1, 2):
+        faces += [f for _, f, _ in perfbench["corpora"].poly_wide_corpus(seed)]
+    zetas += [monodromy_zeta(annotate_faces(f)) for f in faces]
+    deltas = [characteristic_poly(z, max_degree=0) for z in zetas]
+    deltas = [characteristic_poly(d.cyclo * cyclo({1: -1}))
+              if d.mu <= 5000 or candidate_powers(d.cyclo) is not None else d
+              for d in deltas]
+    rng = random.Random(26)
+    for g in range(2, 13):
+        for e1 in (-1, 0, 1, 2):
+            made = 0
+            while made < 5:
+                exps = {1: e1 - 1}      # characteristic_poly multiplies by 1 - t
+                for _ in range(rng.randint(1, 3)):
+                    n = g * rng.randint(1, 6)
+                    exps[n] = exps.get(n, 0) + rng.choice((-1, 1, 1, 2, 3))
+                z = cyclo(exps)
+                if gcd(*(n for n, _ in z.factors if n > 1)) != g:
+                    continue
+                try:
+                    deltas.append(characteristic_poly(z))
+                except ArithmeticError:
+                    continue
+                made += 1
+    return deltas
+
+
+def test_the_characteristic_polynomial_is_zero_off_its_candidate_powers(deltas):
+    # (1 - t)^e1 P(t^g), g the gcd of the exponents n > 1: with e1 >= 0
+    # every nonzero coefficient sits at some kg + j, 0 <= j <= e1, and
+    # mu = e1 mod g; candidate_powers lists exactly those powers, highest
+    # first, when they are not all of them, g > e1 + 1
+    seen = Counter()
+    for delta in deltas:
+        e1 = delta.cyclo.exponents().get(1, 0)
+        g = gcd(*(n for n, _ in delta.cyclo.factors if n > 1))
+        powers = candidate_powers(delta.cyclo)
+        if delta.coeffs is None:    # unexpanded: the claim holds at every power
+            assert g <= e1 + 1 and powers is None, delta.cyclo
+            continue
+        support = [i for i, c in enumerate(delta.coeffs) if c]
+        if e1 < 0:      # (1 - t^g) / (1 - t) has every power below g
+            assert powers is None
+            seen["e1 < 0, off the multiples of g"] += any(i % g for i in support)
+            continue
+        if g == 0:      # (1 - t)^e1 alone
+            assert delta.mu == e1 and powers is None, delta.cyclo
+            continue
+        assert delta.mu % g == e1 % g, delta.cyclo
+        assert all(i % g <= e1 for i in support), delta.cyclo
+        if g > e1 + 1:
+            assert powers == [i for i in range(delta.mu, -1, -1) if i % g <= e1]
+            seen[f"strided, e1 = {e1}"] += 1
+            seen["strided, two exponents n > 1 or more"] += len(delta.cyclo.factors) > 2
+        else:
+            assert powers is None
+            seen[f"all powers, e1 = {e1}"] += 1
+    assert seen.keys() >= {"e1 < 0, off the multiples of g", "strided, e1 = 0",
+                           "strided, e1 = 1", "strided, e1 = 2", "all powers, e1 = 1",
+                           "all powers, e1 = 2"}, seen
+    assert seen["strided, two exponents n > 1 or more"] and seen["e1 < 0, off the multiples of g"]
+
+
+def test_the_strided_print_equals_the_full_walk(deltas):
+    strided = 0
+    for delta in filter(lambda d: d.coeffs is not None, deltas):
+        powers = candidate_powers(delta.cyclo)
+        want = reference_poly_str.poly_str(delta.coeffs, "t")
+        assert poly_str(delta.coeffs, "t", powers) == want, delta.cyclo
+        strided += powers is not None
+    assert strided >= 200, strided
 
 
 def test_characteristic_poly_of_degree_zero():
