@@ -35,7 +35,8 @@ from .monodromy import (CycloProduct, acampo_from_graph, candidate_powers,
 from .newton import (DegenerateCurveError, newton_faces, parse_poly,
                      poly_to_str, to_face_specs)
 from .resolution import build_graph, chain_determinant_check, definitional_zeta
-from .zeta import _unlimited_digits, candidate_poles, poly_str, rational_str, zeta_general
+from .zeta import (TEXT_BLOCK, _unlimited_digits, candidate_poles, poly_str, rational_str,
+                   zeta_general)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -176,18 +177,20 @@ def _analyze(annotated, inp: dict, oracle: bool):
 
 @_unlimited_digits()
 def render_report(report: dict) -> str:
-    """The text report of a report dict, its exact numbers in full."""
-    lines = []
+    """The text report of a report dict, its exact numbers in full, made
+    by one join: the characteristic polynomial's text is one item of it,
+    not copied into a line first."""
+    out = []
     inp = report["input"]
     if inp["kind"] == "tree":
-        lines.append(f"input: tree {json.dumps(inp['tree'], separators=(',', ':'))}")
+        out.append(f"input: tree {json.dumps(inp['tree'], separators=(',', ':'))}\n")
     else:
-        lines.append(f"input: poly {inp['canonical']}")
-        lines.append(f"faces (a, b, r): {inp['faces']}")
+        out.append(f"input: poly {inp['canonical']}\n")
+        out.append(f"faces (a, b, r): {inp['faces']}\n")
     zj = report["zeta"]
     den = [((f["N"], f["nu"]), f["exp"]) for f in zj["denominator"]]
-    lines.append(f"zeta: {rational_str(zj['scale'], zj['numerator'], den)}")
-    lines.append("poles:")
+    out.append(f"zeta: {rational_str(zj['scale'], zj['numerator'], den)}\n")
+    out.append("poles:\n")
     for entry in report["poles"]:
         srcs = []
         for s in entry["sources"]:
@@ -195,28 +198,28 @@ def render_report(report: dict) -> str:
                 srcs.append("universal")
             else:
                 srcs.append(f"bamboo {s['bamboo']} face {s['face']}")
-        lines.append(f"  {entry['value']}  order {entry['order']}  ({'; '.join(srcs)})")
+        out.append(f"  {entry['value']}  order {entry['order']}  ({'; '.join(srcs)})\n")
     zm = CycloProduct(tuple((f["n"], f["e"]) for f in report["monodromy_zeta"]))
-    lines.append(f"monodromy zeta: {zm}")
+    out.append(f"monodromy zeta: {zm}\n")
     dj = report["delta"]
     delta = CycloProduct(tuple((f["n"], f["e"]) for f in dj["factors"]))
     if dj["coeffs"] is not None:
         delta = poly_str(dj["coeffs"], "t", candidate_powers(delta))
-    lines.append(f"char poly H1: {delta}")
-    lines.append(f"milnor number: {report['milnor_number']}")
+    out += ("char poly H1: ", str(delta), "\n")
+    out.append(f"milnor number: {report['milnor_number']}\n")
     conj = report["conjecture"]
-    lines.append(f"conjecture: {conj['verdict']}")
+    out.append(f"conjecture: {conj['verdict']}\n")
     for entry in conj["poles"]:
         if entry["via"] == "H0":
-            lines.append(f"  {entry['value']}  eigenvalue 1 on H^0")
+            out.append(f"  {entry['value']}  eigenvalue 1 on H^0\n")
         else:
             ok = "eigenvalue" if entry["eigenvalue"] else "NOT an eigenvalue"
-            lines.append(
+            out.append(
                 f"  {entry['value']}  {ok}: order {entry['root_order']}, "
-                f"multiplicity {entry['multiplicity']} from exponents {entry['exponents']}")
+                f"multiplicity {entry['multiplicity']} from exponents {entry['exponents']}\n")
     if "oracle_check" in report:
-        lines.append(f"oracle: {report['oracle_check']}")
-    return "\n".join(lines) + "\n"
+        out.append(f"oracle: {report['oracle_check']}\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +365,36 @@ _COEFFS = "\0coeffs"     # stands in for delta.coeffs while the rest is encoded
 def json_report(report: dict) -> str:
     """``json.dumps(report, indent=2)``, byte for byte.  With ``indent``
     set, ``json`` encodes in Python, one call per item, so the list
-    ``delta.coeffs`` of up to 10^6 + 1 integers is written by one join,
-    at the indentation of a list two levels down, in place of a marker
-    that stands for it while the rest is encoded."""
+    ``delta.coeffs`` of up to 10^6 + 1 integers is written apart from the
+    rest, which is encoded with a marker in its place.  The list is
+    written one block of ``TEXT_BLOCK`` integers at a time, each block by
+    one join at the indentation of a list two levels down, so that no
+    more than one block's ``str`` objects are held at once; the pieces
+    are joined once."""
+    return "".join(_json_pieces(report))
+
+
+def _json_pieces(report: dict) -> list[str]:
+    """The texts whose join is ``json_report(report)``."""
     coeffs = report["delta"]["coeffs"]
     if not coeffs:
-        return json.dumps(report, indent=2)
+        return [json.dumps(report, indent=2)]
     text = json.dumps({**report, "delta": {**report["delta"], "coeffs": _COEFFS}}, indent=2)
     # the last marker is delta's: only the input, before it, holds user text
     head, _, tail = text.rpartition(json.dumps(_COEFFS))
-    return head + "[\n      " + ",\n      ".join(map(str, coeffs)) + "\n    ]" + tail
+    pieces = [head, "[\n      "]
+    for i in range(0, len(coeffs), TEXT_BLOCK):
+        pieces += (",\n      ".join(map(str, coeffs[i:i + TEXT_BLOCK])), ",\n      ")
+    pieces[-1] = "\n    ]"      # the separator after the last block closes the list
+    pieces.append(tail)
+    return pieces
 
 
 def _render(report, as_json) -> str:
     """The whole report as one string, so that no error leaves part of it
     written."""
     with _unlimited_digits():
-        return json_report(report) + "\n" if as_json else render_report(report)
+        return "".join([*_json_pieces(report), "\n"]) if as_json else render_report(report)
 
 
 def main(argv=None) -> int:

@@ -239,9 +239,8 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
             for k, c in terms.items():
                 if mu - k > h:
                     f[mu - k] = sign * c
-        elif mu > h:
-            tail = f[mu - h - 1::-1]
-            f += tail if sign == 1 else map(neg, tail)
+        elif mu > h:    # the slice is freed before the tuple is made
+            f += f[mu - h - 1::-1] if sign == 1 else map(neg, f[mu - h - 1::-1])
         coeffs = tuple(f)
     return CharPoly(cyclo, coeffs, mu)
 

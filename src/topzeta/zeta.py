@@ -49,14 +49,20 @@ a report's JSON holds it, so the text report prints from the JSON and
 rebuilds no function; it writes each denominator factor ``N*s + nu``
 itself.  ``poly_str``, which prints the numerator and the report's
 characteristic polynomial of up to 10^6 + 1 coefficients, makes its
-text with one ``%`` operation: one format per distinct coefficient, such
-as ``" - 3*t^%d"``, made once, the formats of the nonzero coefficients
-joined, highest power first, and the join applied to the tuple of their
-exponents.  Given the powers that may hold a nonzero coefficient,
-highest first, it reads those alone: the text report passes the
-characteristic polynomial's ``monodromy.candidate_powers``, the powers
-``kg + j``, ``0 <= j <= e_1``, of its stride g, which for ``x^n + y^n``
-are ``2 (n - 1)`` of its ``(n - 1)^2 + 1`` coefficients.  The
+text with one ``%`` operation per block of ``TEXT_BLOCK`` powers: one
+format per distinct coefficient, such as ``" - 3*t^%d"``, made once,
+the formats of the block's nonzero coefficients joined, highest power
+first, and the join applied to the tuple of their exponents.  The block
+texts are joined once, so beyond its output it holds one block's
+formats and exponents, not those of every power.  The block is fixed,
+not worked out from the input: the text does not depend on it, and a
+block of 2^12 powers holds a few hundred kilobytes and costs a few
+microseconds, so no size needs tuning.  Given the powers that may hold
+a nonzero coefficient, highest first, it reads those alone: the text
+report passes the characteristic polynomial's
+``monodromy.candidate_powers``, the powers ``kg + j``,
+``0 <= j <= e_1``, of its stride g, which for ``x^n + y^n`` are
+``2 (n - 1)`` of its ``(n - 1)^2 + 1`` coefficients.  The
 constructor ``RationalFunction(scale, num, den)`` stays for
 ``dataclasses.replace``, with which the benchmark's self-test makes a
 wrong function; one built that way has no parts, so it cannot be
@@ -81,6 +87,8 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .equitree import AnnotatedTree, Leaf, annotate_faces
+
+TEXT_BLOCK = 2 ** 12     # powers that poly_str and cli.json_report turn into text per step
 
 
 @contextlib.contextmanager
@@ -195,27 +203,36 @@ class _TermFormats(dict):
 
 
 def poly_str(coeffs, var, powers=None):
-    """Human form of a coefficient list, highest power first: one format
-    per nonzero coefficient, joined and applied to their exponents at once.
+    """Human form of a coefficient list, highest power first: per block of
+    ``TEXT_BLOCK`` powers, one format per nonzero coefficient, joined and
+    applied to their exponents at once; the block texts are joined once.
     ``powers`` lists, highest first, every power that may hold a nonzero
     coefficient, as ``monodromy.candidate_powers`` does; only those from
     2 up are read.  None reads every power."""
     formats = _TermFormats(var)
-    if powers is None:
+    dense = powers is None
+    if dense:
         powers = range(len(coeffs) - 1, 1, -1)
-        high = coeffs[:1:-1]        # the coefficients of var^2 and up, highest first
-    else:       # powers 1 and 0 come last, past the end of high
-        high = [coeffs[p] for p in powers if p > 1]
-    text = "".join(map(formats.__getitem__, filter(None, high)))
+    texts = []
+    for i in range(0, len(powers), TEXT_BLOCK):
+        block = powers[i:i + TEXT_BLOCK]
+        if dense:       # the coefficients of the block's powers, highest first
+            high = coeffs[block.start:block.stop:-1]
+        else:           # powers 1 and 0 come last, past the end of high
+            high = [coeffs[p] for p in block if p > 1]
+        text = "".join(map(formats.__getitem__, filter(None, high)))
+        if text:
+            texts.append(text % tuple(compress(block, high)))
     if len(coeffs) > 1 and coeffs[1]:
-        text += formats[coeffs[1]][:-3]
+        texts.append(formats[coeffs[1]][:-3])
     if coeffs and coeffs[0]:
         c = coeffs[0]
-        text += f"{' + ' if c > 0 else ' - '}{abs(c)}"
-    if not text:
+        texts.append(f"{' + ' if c > 0 else ' - '}{abs(c)}")
+    if not texts:
         return "0"
-    text %= tuple(compress(powers, high))
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+    head = texts[0]
+    texts[0] = head[3:] if head[1] == "+" else "-" + head[3:]
+    return "".join(texts)
 
 
 class _FactorSplits(dict):

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -420,7 +422,7 @@ def test_fuzz_reports_a_monodromy_that_is_no_polynomial(capsys, tmp_path, monkey
     assert len(list(tmp_path.glob("fuzz-fail-*.json"))) == 1
 
 
-def test_json_report_is_json_dumps_byte_for_byte(perfbench):
+def test_json_report_is_json_dumps_byte_for_byte(perfbench, tree_report_corpora):
     # the golden JSON reports, the tree-report, deep-large and poly-wide
     # corpora of seeds 1 and 2, x^1000 + y^1000 and, with no expansion,
     # x^1002 + y^1002; then a report whose input holds the marker's text.
@@ -434,7 +436,7 @@ def test_json_report_is_json_dumps_byte_for_byte(perfbench):
             if "delta" in report:       # not fuzz's summary
                 yield report
         for seed in (1, 2):
-            for tree in corpora.tree_report_corpus(seed) + corpora.deep_large_corpus(seed):
+            for tree in tree_report_corpora[seed] + corpora.deep_large_corpus(seed):
                 yield analyze_tree(tree_from_json(tree))[0]
             for expr, _, _ in corpora.poly_wide_corpus(seed):
                 yield analyze_poly(expr)[0]
@@ -450,6 +452,49 @@ def test_json_report_is_json_dumps_byte_for_byte(perfbench):
             unexpanded += report["delta"]["coeffs"] is None
     # 15 golden, 2 x (36 tree-report, 34 deep-large, 100 poly-wide) and 3
     assert count == 358 and unexpanded >= 1
+
+
+def test_json_report_writes_the_coefficients_in_blocks():
+    # json_report writes delta.coeffs TEXT_BLOCK integers per join: exactly
+    # one block, one block and one more integer, and two blocks
+    rng = random.Random(5)
+    cusp = analyze_poly("y^2 - x^3")[0]
+    for size in (zeta.TEXT_BLOCK, zeta.TEXT_BLOCK + 1, 2 * zeta.TEXT_BLOCK):
+        coeffs = [rng.choice((0, 1, -1, -7, 10 ** 40)) for _ in range(size)]
+        report = {**cusp, "delta": {**cusp["delta"], "coeffs": coeffs}}
+        want = json.dumps(report, indent=2)
+        assert cli.json_report(report) == want
+        assert cli._render(report, True) == want + "\n"
+
+
+# seed 1, #25 of perfbench's tree-report corpus
+DENSE_DELTA_TREE = {"faces": [{"a": 3, "b": 8, "classes": [
+    {"faces": [{"a": 3, "b": 7, "classes": [
+        {"faces": [{"a": 7, "b": 9, "classes": ["leaf", "leaf"]}]},
+        {"faces": [{"a": 4, "b": 7, "classes": ["leaf", "leaf"]}]}]}]},
+    {"faces": [{"a": 3, "b": 5, "classes": ["leaf"]}]}]}]}
+
+
+def test_the_writers_of_a_large_delta_hold_one_copy_of_its_text():
+    # mu = 123,858, half of the coefficients nonzero.  Each writer holds
+    # its output, the pieces it joins into it and one block beyond them:
+    # under 2.5 times the output in all.  A writer that copies the
+    # characteristic polynomial's whole text into a line, a join of lines
+    # and a trailing newline, or makes a str of every coefficient before
+    # one join, holds about 7 times its output
+    report = analyze_tree(tree_from_json(DENSE_DELTA_TREE))[0]
+    assert report["milnor_number"] == 123_858
+    for as_json in (False, True):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            text = cli._render(report, as_json)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 6 * 10 ** 5 and peak < 2.5 * len(text), (as_json, peak, len(text))
 
 
 def test_render_report_contains_every_section(cusp_file):

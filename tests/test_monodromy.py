@@ -326,7 +326,7 @@ def test_characteristic_poly_matches_polynomial_division(monkeypatch):
     assert all(seen.values()), seen
 
 
-def test_characteristic_poly_matches_the_dense_reference(perfbench):
+def test_characteristic_poly_matches_the_dense_reference(perfbench, tree_report_corpora):
     # the sparse phase against the dense-only expansion it replaced: the
     # 500 seed-7 trees, the tree-report corpora of seeds 1 and 2, whose
     # largest trees run nearly every positive factor sparse, the poly-wide
@@ -336,7 +336,7 @@ def test_characteristic_poly_matches_the_dense_reference(perfbench):
     trees = [random_tree(rng) for _ in range(500)]
     faces = []
     for seed in (1, 2):
-        trees += map(tree_from_json, perfbench["corpora"].tree_report_corpus(seed))
+        trees += map(tree_from_json, tree_report_corpora[seed])
         faces += [f for _, f, _ in perfbench["corpora"].poly_wide_corpus(seed)]
     faces += [[(1, 1, n)] for n in [*range(2, 202), 400, 800, 1000]]
     zetas = [monodromy_zeta(annotate(tree)) for tree in trees]

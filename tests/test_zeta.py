@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_poly_str
 import reference_report
 from topzeta.equitree import Bamboo, Face, LEAF, annotate, annotate_faces
-from topzeta.zeta import (Pole, RationalFunction, _canonical, _unlimited_digits,
+from topzeta.monodromy import CycloProduct, candidate_powers, characteristic_poly
+from topzeta.zeta import (TEXT_BLOCK, Pole, RationalFunction, _canonical, _unlimited_digits,
                           candidate_poles, poles, poly_str, rational_str, rf_sum,
                           zeta_general, zeta_nondegenerate)
 
@@ -346,6 +348,49 @@ def test_poly_str_matches_the_per_term_printer():
     with _unlimited_digits():
         coeffs = [1, 0, -(10 ** 5000 + 1), 1, -1]
         assert poly_str(coeffs, "s") == poly_str_per_term(coeffs, "s")
+
+
+def test_poly_str_across_block_edges():
+    # poly_str formats TEXT_BLOCK powers from the top down per % operation,
+    # and reads var^1 and the constant apart.  Lengths around one and two
+    # blocks, with a run of zeros across a block edge, a whole block of
+    # zeros, and the top block all zeros, so that the first text made, whose
+    # sign is fixed, comes from a later block
+    b = TEXT_BLOCK
+    rng = random.Random(29)
+    for size in (b + 1, b + 2, b + 3, 2 * b + 2, 2 * b + 3):
+        top = size - 1      # the powers top .. top - b + 1 make the first block
+        base = [rng.choice((-3, -1, 1, 1, 2, 10 ** 30)) for _ in range(size)]
+        cases = [base]
+        for cut in (top - b + 1, top - 2 * b + 1):      # the lowest power of a block
+            if cut > 1:
+                zeros = base[:]
+                zeros[max(cut - 5, 0):cut + 5] = [0] * (cut + 5 - max(cut - 5, 0))
+                cases.append(zeros)
+        if size >= 2 * b + 2:
+            middle = base[:]
+            middle[top - 2 * b + 1:top - b + 1] = [0] * b      # the second block
+            cases.append(middle)
+        cases.append([0] * (size - 2) + base[:2])       # var^1 and the constant alone
+        cases.append(base[:size - b] + [0] * b)         # the first block all zeros
+        cases.append([-c for c in cases[-1]])
+        for coeffs in cases:
+            want = reference_poly_str.poly_str(coeffs, "t")
+            assert want == poly_str_per_term(coeffs, "t")
+            assert poly_str(coeffs, "t") == want, (size, coeffs[-3:])
+            assert poly_str(tuple(coeffs), "t") == want
+
+
+def test_poly_str_reads_candidate_powers_across_block_edges():
+    # (1 - t) P(t^3), P(u) = (1 - u^p)(1 - u^q) / (1 - u) = (1 + ... +
+    # u^(p-1))(1 - u^q): coefficients 1, then a run of p - q zeros, then -1,
+    # read at its powers 3k and 3k + 1 alone, more than two blocks of them
+    p, q = 30_011, 6_007
+    delta = characteristic_poly(CycloProduct.from_exponents({3: -1, 3 * p: 1, 3 * q: 1}))
+    powers = candidate_powers(delta.cyclo)
+    assert delta.mu == 3 * (p + q) - 2 and len(powers) > 2 * TEXT_BLOCK
+    want = reference_poly_str.poly_str(delta.coeffs, "t")
+    assert poly_str(delta.coeffs, "t", powers) == want == poly_str_per_term(delta.coeffs, "t")
 
 
 def test_denominator_factors_print_as_poly_str():
