@@ -7,9 +7,10 @@ Three subcommands:
   fuzz          random trees, closed forms cross-checked against the
                 resolution-graph oracle instance by instance
 
-``tree`` and ``poly`` are input adapters over one analysis: a polynomial's
-Newton face list becomes the one-bamboo tree of ``annotate_faces``, and
-from there both run the same closed forms, report and ``--oracle`` check.
+The three share one pipeline: every tree, a polynomial's as the one-bamboo
+tree of ``annotate_faces``, goes through ``_closed_forms`` (z, zm, Δ and the
+conjecture checks), and ``_graph_check`` compares z and zm with the
+resolution graph, under ``--oracle`` and on two graphs in ``fuzz``.
 
 Exit codes: 0 ok, 1 usage, 2 invalid input, 3 degenerate polynomial,
 4 internal consistency failure (closed form disagreeing with the oracle,
@@ -30,12 +31,12 @@ from math import gcd
 
 from .equitree import (Bamboo, Face, InvalidTreeError, LEAF, annotate, annotate_faces,
                        tree_from_json, tree_to_json)
-from .monodromy import (CycloProduct, acampo_from_graph, candidate_powers,
+from .monodromy import (DEFAULT_EXPANSION_CAP, CycloProduct, acampo_from_graph, candidate_powers,
                         characteristic_poly, conjecture_report, monodromy_zeta)
 from .newton import (DegenerateCurveError, newton_faces, parse_poly,
                      poly_to_str, to_face_specs)
 from .resolution import build_graph, chain_determinant_check, definitional_zeta
-from .zeta import (TEXT_BLOCK, _unlimited_digits, candidate_poles, poly_str, rational_str,
+from .zeta import (TEXT_BLOCK, _unlimited_digits, candidate_poles, poly_texts, rational_texts,
                    zeta_general)
 
 EXIT_OK = 0
@@ -97,12 +98,9 @@ def _pole_entries(ps, candidates):
         groups.setdefault((c.value.numerator, c.value.denominator), []).append(c)
     out = []
     for p in ps:
-        sources = []
-        for c in groups.get((p.value.numerator, p.value.denominator), ()):
-            if c.path is None:
-                sources.append("universal")
-            else:
-                sources.append({"bamboo": [list(step) for step in c.path], "face": c.face})
+        sources = ["universal" if c.path is None
+                   else {"bamboo": [list(step) for step in c.path], "face": c.face}
+                   for c in groups.get((p.value.numerator, p.value.denominator), ())]
         out.append({"value": str(p.value), "order": p.order, "sources": sources})
     return out
 
@@ -144,10 +142,7 @@ def analyze_poly(expr: str, *, oracle: bool = False):
 def _analyze(annotated, inp: dict, oracle: bool):
     """Report dict and exit code of an annotated tree; ``inp`` is the
     report's input section, the only part that depends on the input form."""
-    z = zeta_general(annotated)
-    zm = monodromy_zeta(annotated)
-    delta = characteristic_poly(zm)
-    checks = conjecture_report(z, delta.cyclo)      # one per pole, in order
+    z, zm, delta, checks = _closed_forms(annotated, DEFAULT_EXPANSION_CAP)
     with _unlimited_digits():
         report = {
             "input": inp,
@@ -160,26 +155,40 @@ def _analyze(annotated, inp: dict, oracle: bool):
         }
     code = EXIT_OK if report["conjecture"]["verdict"] == "holds" else EXIT_INCONSISTENT
     if oracle:
-        graph = build_graph(annotated)
-        problems = []
-        if definitional_zeta(graph) != z:
-            problems.append("zeta closed form differs from the graph sum")
-        if acampo_from_graph(graph) != zm:
-            problems.append("monodromy closed form differs from the graph product")
-        violation = chain_determinant_check(graph)
-        if violation is not None:
-            problems.append(f"chain determinant violated at edge {violation.edge}")
-        report["oracle_check"] = "equal" if not problems else "; ".join(problems)
+        problems = [p for p in _graph_check(build_graph(annotated), z, zm) if p]
+        report["oracle_check"] = "; ".join(problems) or "equal"
         if problems:
             code = EXIT_INCONSISTENT
     return report, code
 
 
+def _closed_forms(annotated, max_degree):
+    """z, zm, Δ expanded up to ``max_degree`` and one conjecture check per
+    pole of z; Δ and the checks are None when (1 - t) zm is no polynomial."""
+    z = zeta_general(annotated)
+    zm = monodromy_zeta(annotated)
+    try:
+        delta = characteristic_poly(zm, max_degree=max_degree)
+    except ArithmeticError:
+        return z, zm, None, None
+    return z, zm, delta, conjecture_report(z, delta.cyclo)
+
+
+def _graph_check(graph, z, zm):
+    """What the graph's definitional sum, A'Campo's product and chain
+    determinants find wrong with z and zm: three texts, None where fine."""
+    zeta_ok, monodromy_ok = definitional_zeta(graph) == z, acampo_from_graph(graph) == zm
+    violation = chain_determinant_check(graph)
+    return (None if zeta_ok else "zeta closed form differs from the graph sum",
+            None if monodromy_ok else "monodromy closed form differs from the graph product",
+            violation and f"chain determinant violated at edge {violation.edge}")
+
+
 @_unlimited_digits()
 def render_report(report: dict) -> str:
     """The text report of a report dict, its exact numbers in full, made
-    by one join: the characteristic polynomial's text is one item of it,
-    not copied into a line first."""
+    by one join: the texts of z's numerator and of Δ are items of it, not
+    copied into a line first."""
     out = []
     inp = report["input"]
     if inp["kind"] == "tree":
@@ -189,23 +198,19 @@ def render_report(report: dict) -> str:
         out.append(f"faces (a, b, r): {inp['faces']}\n")
     zj = report["zeta"]
     den = [((f["N"], f["nu"]), f["exp"]) for f in zj["denominator"]]
-    out.append(f"zeta: {rational_str(zj['scale'], zj['numerator'], den)}\n")
+    out += ("zeta: ", *rational_texts(zj["scale"], zj["numerator"], den), "\n")
     out.append("poles:\n")
     for entry in report["poles"]:
-        srcs = []
-        for s in entry["sources"]:
-            if s == "universal":
-                srcs.append("universal")
-            else:
-                srcs.append(f"bamboo {s['bamboo']} face {s['face']}")
+        srcs = [s if s == "universal" else f"bamboo {s['bamboo']} face {s['face']}"
+                for s in entry["sources"]]
         out.append(f"  {entry['value']}  order {entry['order']}  ({'; '.join(srcs)})\n")
     zm = CycloProduct(tuple((f["n"], f["e"]) for f in report["monodromy_zeta"]))
     out.append(f"monodromy zeta: {zm}\n")
     dj = report["delta"]
     delta = CycloProduct(tuple((f["n"], f["e"]) for f in dj["factors"]))
-    if dj["coeffs"] is not None:
-        delta = poly_str(dj["coeffs"], "t", candidate_powers(delta))
-    out += ("char poly H1: ", str(delta), "\n")
+    texts = ([str(delta)] if dj["coeffs"] is None
+             else poly_texts(dj["coeffs"], "t", candidate_powers(delta)))
+    out += ("char poly H1: ", *texts, "\n")
     out.append(f"milnor number: {report['milnor_number']}\n")
     conj = report["conjecture"]
     out.append(f"conjecture: {conj['verdict']}\n")
@@ -227,22 +232,13 @@ def render_report(report: dict) -> str:
 
 def check_instance(spec: Bamboo, *, ray_seed: int = 0) -> dict:
     """All differential checks for one tree; maps check name to ok flag."""
-    checks = {}
     annotated = annotate(spec)
-    z = zeta_general(annotated)
-    graph = build_graph(annotated)
-    zm = monodromy_zeta(annotated)
-    checks["zeta_closed_vs_oracle"] = definitional_zeta(graph) == z
-    checks["monodromy_closed_vs_oracle"] = acampo_from_graph(graph) == zm
-    checks["chain_determinants"] = chain_determinant_check(graph) is None
+    z, zm, delta, pole_checks = _closed_forms(annotated, FUZZ_EXPANSION_CAP)
     refined = build_graph(annotated, extra_rays=FUZZ_EXTRA_RAYS, seed=ray_seed)
-    checks["zeta_ray_invariance"] = definitional_zeta(refined) == z
-    checks["monodromy_ray_invariance"] = acampo_from_graph(refined) == zm
-    checks["chain_determinants_refined"] = chain_determinant_check(refined) is None
-    try:
-        delta = characteristic_poly(zm, max_degree=FUZZ_EXPANSION_CAP)
-    except ArithmeticError:
-        delta = None
+    found = _graph_check(build_graph(annotated), z, zm) + _graph_check(refined, z, zm)
+    names = ("zeta_closed_vs_oracle", "monodromy_closed_vs_oracle", "chain_determinants",
+             "zeta_ray_invariance", "monodromy_ray_invariance", "chain_determinants_refined")
+    checks = {name: p is None for name, p in zip(names, found)}
     checks["delta_polynomial"] = delta is not None
     if delta is not None and delta.coeffs is not None:
         checks["delta_values"] = _delta_values_agree(delta)
@@ -250,8 +246,7 @@ def check_instance(spec: Bamboo, *, ray_seed: int = 0) -> dict:
     cand_values = {(c.value.numerator, c.value.denominator) for c in candidate_poles(annotated)}
     checks["pole_containment"] = all((-nu, n) in cand_values for (n, nu), _ in z.den)
     # without a polynomial there are no eigenvalues to check the poles against
-    checks["conjecture"] = delta is not None and all(
-        c.witness.ok for c in conjecture_report(z, delta.cyclo))
+    checks["conjecture"] = delta is not None and all(c.witness.ok for c in pole_checks)
     return checks
 
 
@@ -363,14 +358,10 @@ _COEFFS = "\0coeffs"     # stands in for delta.coeffs while the rest is encoded
 
 
 def json_report(report: dict) -> str:
-    """``json.dumps(report, indent=2)``, byte for byte.  With ``indent``
-    set, ``json`` encodes in Python, one call per item, so the list
-    ``delta.coeffs`` of up to 10^6 + 1 integers is written apart from the
-    rest, which is encoded with a marker in its place.  The list is
-    written one block of ``TEXT_BLOCK`` integers at a time, each block by
-    one join at the indentation of a list two levels down, so that no
-    more than one block's ``str`` objects are held at once; the pieces
-    are joined once."""
+    """``json.dumps(report, indent=2)``, byte for byte.  ``json`` with
+    ``indent`` encodes one item per Python call, so the rest is encoded
+    with a marker in place of ``delta.coeffs``, up to 10^6 + 1 integers,
+    and the list is written one join per block of ``TEXT_BLOCK``."""
     return "".join(_json_pieces(report))
 
 

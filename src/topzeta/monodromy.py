@@ -209,20 +209,23 @@ def characteristic_poly(z: CycloProduct, *, max_degree=DEFAULT_EXPANSION_CAP) ->
         for n, g, e in factors:
             if e < 0 or 3 * len(terms) > (h - n) // g:
                 break
-            old = list(terms.items())
+            exps, coefs = list(terms), list(terms.values())
             b = 1
             for k in range(1, min(e, h // n) + 1):
                 s, b = n * k, -b * (e - k + 1) // k     # (-1)^k C(e, k)
-                for j, c in [(j + s, b * c) for j, c in old if j <= h - s]:
-                    terms[j] = terms.get(j, 0) + c
+                for j, c in zip(exps, coefs):
+                    if j <= h - s:
+                        terms[j + s] = terms.get(j + s, 0) + b * c
             done += 1
+        exps = coefs = None
         # with no factor left for the dense passes, the list is written
-        # whole, c[0..mu], and mirrored from the map
+        # whole, c[0..mu], and mirrored from the map; else the map is freed
         sparse = done == len(factors)
         f = [0] * ((mu if sparse else h) + 1)
         for k, c in terms.items():
             f[k] = c
         top = max(terms)
+        terms = terms if sparse else None
         for n, g, e in factors[done:]:      # one power at a time
             for _ in range(abs(e)):
                 top = min(top + n, h) if e > 0 else h

@@ -170,12 +170,10 @@ def chain_determinant_check(graph: ResolutionGraph) -> ChainViolation | None:
     """
     nodes = graph.nodes
     for chain in graph.chains:
-        for j in range(len(chain.node_ids) - 1):
-            u = nodes[chain.node_ids[j]]
-            v = nodes[chain.node_ids[j + 1]]
-            expected = chain.seg_dets[chain.segments[j]]
+        for i, j, seg in zip(chain.node_ids, chain.node_ids[1:], chain.segments):
+            u, v = nodes[i], nodes[j]
             got = v.mult * u.nu - u.mult * v.nu
-            if got != expected:
-                return ChainViolation((u.id, v.id), expected, got)
+            if got != chain.seg_dets[seg]:
+                return ChainViolation((i, j), chain.seg_dets[seg], got)
     return None
 

@@ -45,15 +45,15 @@ common denominator gives that form, since ``num`` is primitive and
 ``-nu (L / N)``, ``L`` the lcm of their N, which is the pole's value
 times ``L``: no two ``Fraction``s are compared.  ``rational_str``
 prints the form from ``scale`` as text, ``str(Fraction)``, which is how
-a report's JSON holds it, so the text report prints from the JSON and
-rebuilds no function; it writes each denominator factor ``N*s + nu``
-itself.  ``poly_str``, which prints the numerator and the report's
-characteristic polynomial of up to 10^6 + 1 coefficients, makes its
-text with one ``%`` operation per block of ``TEXT_BLOCK`` powers: one
-format per distinct coefficient, such as ``" - 3*t^%d"``, made once,
-the formats of the block's nonzero coefficients joined, highest power
-first, and the join applied to the tuple of their exponents.  The block
-texts are joined once, so beyond its output it holds one block's
+a report's JSON holds it, so the text report prints from the JSON, by
+``rational_texts``, and rebuilds no function.  ``poly_str``, which prints
+the numerator and the report's characteristic polynomial of up to 10^6 +
+1 coefficients, joins the texts of ``poly_texts``: one ``%`` operation
+per block of ``TEXT_BLOCK`` powers, one format per distinct coefficient,
+such as ``" - 3*t^%d"``, made once and dropped before the last block's
+``%``, the formats of the block's nonzero coefficients joined, highest
+power first, and the join applied to their exponents.  The report joins
+those texts once, so beyond its output it holds one block's
 formats and exponents, not those of every power.  The block is fixed,
 not worked out from the input: the text does not depend on it, and a
 block of 2^12 powers holds a few hundred kilobytes and costs a few
@@ -159,27 +159,26 @@ class RationalFunction:
 
 
 def rational_str(scale: str, num, den) -> str:
-    """The printed form ``scale * num(s) / prod (N*s + nu)^exp``, from
-    ``scale`` as text, ``str(Fraction)``, the numerator's coefficients
-    and ``den`` as ``((N, nu), exp)`` pairs, ``N >= 1``; a factor 1 is
-    not printed."""
+    """The join of ``rational_texts``."""
+    return "".join(rational_texts(scale, num, den))
+
+
+def rational_texts(scale: str, num, den) -> list[str]:
+    """The printed form ``scale * num(s) / prod (N*s + nu)^exp`` as texts,
+    the numerator's those of ``poly_texts``, none copied, from ``scale``
+    as text, ``str(Fraction)``, the numerator's coefficients and ``den``
+    as ``((N, nu), exp)`` pairs, ``N >= 1``; a factor 1 is not printed."""
     if not num:
-        return "0"
-    body = poly_str(num, "s")
+        return ["0"]
+    body = poly_texts(num, "s")
     if len(num) > 1:
-        body = f"({body})"
-    if scale == "1":
-        head = body
-    elif body == "1":
-        head = scale
-    elif scale == "-1":
-        head = "-" + body
-    else:
-        head = f"{scale} * {body}"
+        body = ["(", *body, ")"]
+    head = (body if scale == "1" else [scale] if body == ["1"]
+            else ["-", *body] if scale == "-1" else [scale, " * ", *body])
     facs = [f"({_linear_str(n, v)})" + (f"^{e}" if e > 1 else "") for (n, v), e in den]
-    if not facs:
-        return head
-    return f"{head} / {facs[0]}" if len(facs) == 1 else f"{head} / ({' * '.join(facs)})"
+    if len(facs) > 1:
+        facs = [f"({' * '.join(facs)})"]
+    return [*head, " / ", *facs] if facs else head
 
 
 def _linear_str(n, v):
@@ -203,12 +202,17 @@ class _TermFormats(dict):
 
 
 def poly_str(coeffs, var, powers=None):
-    """Human form of a coefficient list, highest power first: per block of
-    ``TEXT_BLOCK`` powers, one format per nonzero coefficient, joined and
-    applied to their exponents at once; the block texts are joined once.
-    ``powers`` lists, highest first, every power that may hold a nonzero
-    coefficient, as ``monodromy.candidate_powers`` does; only those from
-    2 up are read.  None reads every power."""
+    """The join of ``poly_texts``."""
+    return "".join(poly_texts(coeffs, var, powers))
+
+
+def poly_texts(coeffs, var, powers=None) -> list[str]:
+    """Human form of a coefficient list, highest power first, as texts: per
+    block of ``TEXT_BLOCK`` powers, one format per nonzero coefficient,
+    joined and applied to their exponents at once, then one each for the
+    powers 1 and 0.  ``powers`` lists, highest first, every power that may
+    hold a nonzero coefficient, as ``monodromy.candidate_powers`` does;
+    only those from 2 up are read.  None reads every power."""
     formats = _TermFormats(var)
     dense = powers is None
     if dense:
@@ -221,18 +225,21 @@ def poly_str(coeffs, var, powers=None):
         else:           # powers 1 and 0 come last, past the end of high
             high = [coeffs[p] for p in block if p > 1]
         text = "".join(map(formats.__getitem__, filter(None, high)))
-        if text:
-            texts.append(text % tuple(compress(block, high)))
+        if i + TEXT_BLOCK >= len(powers):   # last block: drop the formats, copies of the texts
+            formats.clear()
+        if text:    # rebound, so that the joined formats are freed
+            text %= tuple(compress(block, high))
+            texts.append(text)
     if len(coeffs) > 1 and coeffs[1]:
         texts.append(formats[coeffs[1]][:-3])
     if coeffs and coeffs[0]:
         c = coeffs[0]
         texts.append(f"{' + ' if c > 0 else ' - '}{abs(c)}")
     if not texts:
-        return "0"
+        return ["0"]
     head = texts[0]
     texts[0] = head[3:] if head[1] == "+" else "-" + head[3:]
-    return "".join(texts)
+    return texts
 
 
 class _FactorSplits(dict):

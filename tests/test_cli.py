@@ -410,6 +410,37 @@ def test_delta_values_catches_a_wrong_mirror(monkeypatch):
     assert all(ok for name, ok in checks.items() if name != "delta_values")
 
 
+def test_reports_and_fuzz_run_one_pipeline(monkeypatch):
+    # analyze_tree and check_instance take z, zm, delta and the conjecture
+    # checks from one step, and compare them with a graph by one function:
+    # a report's oracle once, fuzz on the minimal and the refined graph
+    calls = []
+    for name in ("_closed_forms", "_graph_check"):
+        def counted(*args, real=getattr(cli, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(cli, name, counted)
+    spec = tree_from_json(json.loads(THREE_LEVEL_PATH.read_text()))
+    assert analyze_tree(spec, oracle=True)[0]["oracle_check"] == "equal"
+    assert calls == ["_closed_forms", "_graph_check"]
+    calls.clear()
+    assert all(check_instance(spec, ray_seed=1).values())
+    assert calls == ["_closed_forms", "_graph_check", "_graph_check"]
+
+
+def test_check_instance_checks_the_graphs_without_a_polynomial(monkeypatch):
+    def no_polynomial(z, **kwargs):
+        raise ArithmeticError("not a polynomial: multiplicity -1 at root order 2")
+
+    monkeypatch.setattr(cli, "characteristic_poly", no_polynomial)
+    checks = check_instance(tree_from_json(json.loads(THREE_LEVEL_PATH.read_text())), ray_seed=1)
+    graph_checks = ("zeta_closed_vs_oracle", "monodromy_closed_vs_oracle", "chain_determinants",
+                    "zeta_ray_invariance", "monodromy_ray_invariance", "chain_determinants_refined")
+    assert all(checks[name] is True for name in graph_checks)
+    assert checks["pole_containment"] is True and "delta_values" not in checks
+    assert checks["delta_polynomial"] is False and checks["conjecture"] is False
+
+
 def test_fuzz_reports_a_monodromy_that_is_no_polynomial(capsys, tmp_path, monkeypatch):
     # (1 - t^2)^-1 times (1 - t) is no polynomial: a defect fuzz must report
     monkeypatch.setattr(cli, "monodromy_zeta", lambda tree: CycloProduct(((2, -1),)))
@@ -495,6 +526,26 @@ def test_the_writers_of_a_large_delta_hold_one_copy_of_its_text():
         finally:
             tracemalloc.stop()
         assert len(text) > 6 * 10 ** 5 and peak < 2.5 * len(text), (as_json, peak, len(text))
+
+
+def test_the_text_writer_of_a_deep_chain_holds_one_copy_of_its_zeta_line():
+    # depth 120: the numerator has 121 coefficients of up to 21,661 bits,
+    # most of the 0.68 MB of text.  Its texts are items of the report's
+    # join, so the writer holds the pieces and the output, about twice the
+    # output.  Copying the numerator's text into parentheses, the scale,
+    # the line and the join, or keeping the formats of its coefficients
+    # through the % operation, holds 3 to 4 times the output
+    report = analyze_tree(tree_from_json(json.loads(nested_chain_json(120, 2, 3))))[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        text = cli._render(report, False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 6 * 10 ** 5 and peak < 2.5 * len(text), (peak, len(text))
 
 
 def test_render_report_contains_every_section(cusp_file):

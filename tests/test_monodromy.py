@@ -1,5 +1,8 @@
+import gc
 import random
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -348,6 +351,28 @@ def test_characteristic_poly_matches_the_dense_reference(perfbench, tree_report_
             assert delta.coeffs == reference_charpoly.expansion(delta.cyclo), delta.cyclo
             expanded += 1
     assert expanded == 167 + 24 + 2 * 100 + 203, expanded
+
+
+def test_the_sparse_map_is_freed_before_the_dense_passes(tree_report_corpora):
+    # tree-report seed 1, #11: mu = 597,766, a map of 110,490 terms, then
+    # dense passes.  Beyond its result the expansion holds the dense list
+    # and a slice of it for the mirror.  A map, or its last snapshot as
+    # (exponent, coefficient) tuples, kept through the dense passes and the
+    # copy into the tuple adds about 13 MB
+    zm = monodromy_zeta(annotate(tree_from_json(tree_report_corpora[1][11])))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        delta = characteristic_poly(zm)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert delta.mu == 597_766
+    assert delta.coeffs == reference_charpoly.expansion(delta.cyclo)
+    dense_list = sys.getsizeof(list(delta.coeffs))
+    assert peak < held + 1.5 * dense_list, (peak, held, dense_list)
 
 
 def test_a_sparse_product_makes_no_dense_pass(monkeypatch):
